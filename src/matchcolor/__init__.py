@@ -29,7 +29,6 @@ from .hardcore import (
     ChainConfig,
     HardCoreModel,
     calibrate_activities,
-    exact_marginal,
     exact_marginals,
     log_partition_function,
     measure_correlation_decay,
@@ -82,7 +81,6 @@ __all__ = [
     "color_multigraph",
     "dump_multigraph",
     "estimate_charges_exact",
-    "exact_marginal",
     "exact_marginals",
     "find_violated_matching_constraint",
     "greedy_edge_coloring",

@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, RoundError
+from .errors import CapacityError, LocalSearchError, RoundError
 from .fractional import chi_star, find_violated_matching_constraint
 from .graphs import (
     Multigraph,
@@ -355,7 +355,8 @@ def run_round(
     """Sample, repair until flawless, and certify the residual level.
 
     Retries with fresh derived streams on step-cap exhaustion; raises a
-    round error carrying the last trace when all attempts fail.
+    round error carrying the last trace when all attempts fail.  Any other
+    error from the search propagates unchanged.
     """
     select = make_selector(graph, params, cfg)
     last_trace: RunTrace | None = None
@@ -364,8 +365,8 @@ def run_round(
         rng = stream(cfg.master_seed, "round", round_index, "attempt", attempt, "search")
         try:
             trace = run_with_selector(state, select, rng, step_cap=cfg.step_cap)
-        except Exception as err:
-            last_trace = getattr(err, "trace", None)
+        except LocalSearchError as err:
+            last_trace = err.trace
             continue
         final: RoundState = trace.final_state
         if graph.n <= EXACT_VERIFY_N:

@@ -1,24 +1,30 @@
 """Hard-core distributions on matchings.
 
 A model is a multigraph plus a positive activity per edge; it induces
-nu(M) proportional to the product of activities over M.  Partition functions
-are evaluated in log domain by deletion-contraction, grouped per vertex
+nu(M) proportional to the product of activities over M.  Parallel edges
+collapse into one simple edge whose activity is the bundle sum: the collapsed
+partition function equals the multigraph one, and a sampled simple edge lifts
+to a member of its bundle with probability proportional to the member
+activity.
+
+Exact work runs on one compiled DAG per collapsed graph.  It records the
+deletion-contraction recursion, grouped per minimum-degree pivot v,
 
     Z(G) = Z(G - v) + sum_{e = vu} lambda(e) * Z(G - v - u),
 
-memoized on live-vertex sets and factored over connected components.  Parallel
-edges collapse into one simple edge whose activity is the bundle sum: the
-collapsed partition function equals the multigraph one, and a sampled simple
-edge lifts to a member of its bundle with probability proportional to the
-member activity.
+memoized on live-vertex sets and factored over connected components, with
+values in log domain filled in as nodes are created.  For new activities, a
+forward sweep re-evaluates every node; a reverse sweep then gives every
+bundle marginal d log Z / d log lambda at once; and an exact draw walks the
+DAG from its root.  Calibration compiles once and sweeps on every iteration.
 
-Sampling is a Metropolis chain over matchings of the collapsed graph with
-insert / delete / slide proposals.
+Approximate sampling is a Metropolis chain over matchings of the collapsed
+graph with insert / delete / slide proposals.
 """
-
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -51,40 +57,55 @@ class HardCoreModel:
                 raise ValueError(f"activity for edge {eid} must be positive and finite, got {lam}")
         self.graph = graph
         self.activities: tuple[float, ...] = tuple(values)
-        self._zcalc: _ZCalc | None = None
         self._collapse: _Collapse | None = None
-
-    def zcalc(self) -> "_ZCalc":
-        if self._zcalc is None:
-            self._zcalc = _ZCalc(self)
-        return self._zcalc
+        self._dag: _ZDag | None = None
 
     def collapse(self) -> "_Collapse":
         if self._collapse is None:
-            self._collapse = _Collapse(self)
+            self._collapse = _Collapse(self.graph, self.activities)
         return self._collapse
+
+    def dag(self) -> "_ZDag":
+        """The compiled partition-function DAG, evaluated at these activities."""
+        if self._dag is None:
+            collapse = self.collapse()
+            self._dag = _ZDag(collapse.n, collapse.pairs, collapse.lam)
+        return self._dag
 
 
 class _Collapse:
     """Simple-graph view: one edge per vertex pair, activity = bundle sum."""
 
-    def __init__(self, model: HardCoreModel):
-        graph = model.graph
+    def __init__(self, graph: Multigraph, activities: Sequence[float]):
         bundles: dict[tuple[int, int], list[int]] = {}
         for eid, (u, v) in enumerate(graph.endpoints):
             key = (u, v) if u < v else (v, u)
             bundles.setdefault(key, []).append(eid)
         self.pairs: list[tuple[int, int]] = sorted(bundles)
         self.members: list[list[int]] = [bundles[p] for p in self.pairs]
-        self.lam: list[float] = [
-            sum(model.activities[eid] for eid in mem) for mem in self.members
-        ]
+        self.lam: list[float] = self.bundle_sums(activities)
         self.n = graph.n
         self.max_lam = max(self.lam, default=0.0)
 
     @property
     def m(self) -> int:
         return len(self.pairs)
+
+    def bundle_sums(self, activities: Sequence[float] | Mapping[int, float]) -> list[float]:
+        return [sum(activities[eid] for eid in mem) for mem in self.members]
+
+    def edge_marginals(
+        self,
+        activities: Sequence[float] | Mapping[int, float],
+        lam: Sequence[float],
+        bundle: Sequence[float],
+    ) -> dict[int, float]:
+        """Split each bundle's marginal over its members in proportion to activity."""
+        out = [0.0] * sum(len(mem) for mem in self.members)
+        for s, mem in enumerate(self.members):
+            for eid in mem:
+                out[eid] = bundle[s] * activities[eid] / lam[s]
+        return dict(enumerate(out))
 
 
 def _logsumexp(values: list[float]) -> float:
@@ -94,58 +115,104 @@ def _logsumexp(values: list[float]) -> float:
     return hi + math.log(sum(math.exp(v - hi) for v in values))
 
 
-class _ZCalc:
-    """Log partition functions over live-vertex subsets, memoized.
+class _ZDag:
+    """The deletion-contraction recursion of one collapsed graph, compiled.
 
-    Subsets travel as integer bitmasks internally, so membership tests, the
-    component sweep and the memo keys all run on plain int arithmetic.
+    Node ``node(mask)`` holds log Z of the subgraph induced on the live-vertex
+    bitmask ``mask``.  Node 0 is the empty graph (log Z = 0).  A component
+    node belongs to a connected mask and has one term per branch of its
+    pivot p: p left unmatched (slot -1), or p matched to u through bundle
+    slot s, each term pointing at the node of the vertices left over; its
+    value is the log-sum-exp of the terms.  A split node sums the nodes of
+    its connected components.  Nodes are numbered children first, and values
+    are filled in while nodes are created, so compiling costs one memoized
+    recursion.  After that, ``evaluate`` re-runs every node in id order at new
+    bundle activities (the forward sweep), ``bundle_marginals`` passes outside
+    weights down in reverse id order (the reverse sweep, which yields every
+    d log Z / d log lambda at once), and ``sample`` walks down from a root
+    choosing terms by weight.  Masks not yet compiled (conditioning regions,
+    say) are added on demand.
     """
 
-    def __init__(self, model: HardCoreModel):
-        collapse = model.collapse()
-        self.nbr: list[list[tuple[int, float]]] = [[] for _ in range(collapse.n)]
-        for (u, v), lam in zip(collapse.pairs, collapse.lam):
-            loglam = math.log(lam)
-            self.nbr[u].append((v, loglam))
-            self.nbr[v].append((u, loglam))
+    def __init__(self, n: int, pairs: Sequence[tuple[int, int]], lam: Sequence[float]):
+        self.nbr: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for s, (u, v) in enumerate(pairs):
+            self.nbr[u].append((v, s))
+            self.nbr[v].append((u, s))
         for lst in self.nbr:
             lst.sort()
-        self.nbr_mask: list[int] = [0] * collapse.n
+        self.nbr_mask: list[int] = [0] * n
         for v, lst in enumerate(self.nbr):
             acc = 0
             for u, _ in lst:
                 acc |= 1 << u
             self.nbr_mask[v] = acc
-        self.memo: dict[int, float] = {}
-        self.split_memo: dict[int, float] = {}
+        self.full = (1 << n) - 1
+        # Per-slot log activity; slot -1 (the pivot left unmatched) reads the
+        # trailing 0.0.
+        self.weight: list[float] = [math.log(x) for x in lam] + [0.0]
+        self.split: list[bool] = [True]
+        # Per node: child nodes and their bundle slots, as tuples of ints,
+        # which the garbage collector stops scanning.
+        self.kids: list[tuple[int, ...]] = [()]
+        self.slots: list[tuple[int, ...]] = [()]
+        self.val: list[float] = [0.0]
+        self.index: dict[int, int] = {}
+        self._cum: dict[int, tuple[float, list[float]]] = {}
 
     @staticmethod
-    def _mask_of(verts: Iterable[int]) -> int:
+    def mask_of(verts: Iterable[int]) -> int:
         acc = 0
         for v in verts:
             acc |= 1 << v
         return acc
 
-    def simple_edges_within(self, verts: frozenset[int]) -> int:
-        mask = self._mask_of(verts)
-        return sum((self.nbr_mask[v] & mask).bit_count() for v in verts) // 2
+    def edges_within(self, mask: int) -> int:
+        total = 0
+        bits = mask
+        while bits:
+            low = bits & -bits
+            total += (self.nbr_mask[low.bit_length() - 1] & mask).bit_count()
+            bits ^= low
+        return total // 2
 
-    def log_z(self, verts: frozenset[int]) -> float:
-        return self.log_z_mask(self._mask_of(verts))
+    def log_z(self, mask: int) -> float:
+        return self.val[self.node(mask)]
 
-    def log_z_mask(self, mask: int) -> float:
-        if mask.bit_count() <= 1:
-            return 0.0
-        cached = self.split_memo.get(mask)
-        if cached is not None:
-            return cached
-        total = 0.0
-        for comp in self._components(mask):
-            total += self._component_log_z(comp)
-        self.split_memo[mask] = total
-        return total
+    def node(self, mask: int) -> int:
+        got = self.index.get(mask)
+        if got is not None:
+            return got
+        if mask & (mask - 1) == 0:
+            return 0
+        comps = self._components(mask)
+        if len(comps) == 1:
+            return self._component(mask)
+        kids = []
+        for comp in comps:
+            if comp & (comp - 1):
+                got = self.index.get(comp)
+                kids.append(self._component(comp) if got is None else got)
+        if len(kids) > 1:
+            total = 0.0
+            for k in kids:
+                total += self.val[k]
+            node = self._add(True, tuple(kids), (), total)
+        else:
+            node = kids[0] if kids else 0
+        self.index[mask] = node
+        return node
+
+    def _add(self, split: bool, kids: tuple[int, ...], slots: tuple[int, ...], value: float) -> int:
+        node = len(self.val)
+        self.split.append(split)
+        self.kids.append(kids)
+        self.slots.append(slots)
+        self.val.append(value)
+        return node
 
     def _components(self, mask: int) -> list[int]:
+        nbr_mask = self.nbr_mask
         remaining = mask
         comps = []
         while remaining:
@@ -156,7 +223,7 @@ class _ZCalc:
                 bits = new
                 while bits:
                     low = bits & -bits
-                    spread |= self.nbr_mask[low.bit_length() - 1]
+                    spread |= nbr_mask[low.bit_length() - 1]
                     bits ^= low
                 new = spread & remaining & ~comp
                 comp |= new
@@ -165,75 +232,139 @@ class _ZCalc:
         return comps
 
     def _pivot(self, comp: int) -> int:
-        # Pivot on a minimum-degree vertex: linear on trees, and it keeps the
-        # reachable state family small on sparse graphs.
+        # Pivot on a minimum-degree vertex, the lowest-numbered on ties:
+        # linear on trees, and it keeps the reachable state family small on
+        # sparse graphs.  A connected component has minimum degree at least
+        # one, so the first degree-one vertex ends the scan.
         best = -1
-        best_deg = -1
+        best_deg = comp.bit_count()
+        nbr_mask = self.nbr_mask
         bits = comp
         while bits:
             low = bits & -bits
             v = low.bit_length() - 1
-            deg = (self.nbr_mask[v] & comp).bit_count()
-            if best < 0 or deg < best_deg:
+            deg = (nbr_mask[v] & comp).bit_count()
+            if deg < best_deg:
+                if deg == 1:
+                    return v
                 best, best_deg = v, deg
             bits ^= low
         return best
 
-    def _component_log_z(self, comp: int) -> float:
-        if comp.bit_count() <= 1:
-            return 0.0
-        cached = self.memo.get(comp)
-        if cached is not None:
-            return cached
+    def _component(self, comp: int) -> int:
+        """Compile the node of a connected mask that has none yet."""
         pivot = self._pivot(comp)
         rest = comp & ~(1 << pivot)
-        terms = [self.log_z_mask(rest)]
-        for u, loglam in self.nbr[pivot]:
+        node, val, w = self.node, self.val, self.weight
+        k = node(rest)
+        kids = [k]
+        slots = [-1]
+        terms = [val[k]]
+        for u, s in self.nbr[pivot]:
             if comp >> u & 1:
-                terms.append(loglam + self.log_z_mask(rest & ~(1 << u)))
-        value = _logsumexp(terms)
-        self.memo[comp] = value
-        return value
+                k = node(rest & ~(1 << u))
+                kids.append(k)
+                slots.append(s)
+                terms.append(w[s] + val[k])
+        got = self._add(False, tuple(kids), tuple(slots), _logsumexp(terms))
+        self.index[comp] = got
+        return got
 
-    def sample(self, verts: frozenset[int], rng: np.random.Generator) -> list[tuple[int, int]]:
-        """Exact matching draw on the live set, by walking the recursion.
-
-        Each node's branch weights are the summands of its partition function,
-        so descending with those probabilities samples the model exactly.
-        Returns the matched vertex pairs, each sorted low-high.
-        """
-        chosen: list[tuple[int, int]] = []
-        stack: list[int] = [self._mask_of(verts)]
-        while stack:
-            cur = stack.pop()
-            if cur.bit_count() <= 1:
-                continue
-            comps = self._components(cur)
-            if len(comps) > 1:
-                stack.extend(reversed(comps))
-                continue
-            comp = comps[0]
-            pivot = self._pivot(comp)
-            rest = comp & ~(1 << pivot)
-            opts: list[tuple[int | None, float]] = [(None, self.log_z_mask(rest))]
-            for u, loglam in self.nbr[pivot]:
-                if comp >> u & 1:
-                    opts.append((u, loglam + self.log_z_mask(rest & ~(1 << u))))
-            hi = max(w for _, w in opts)
-            weights = [math.exp(w - hi) for _, w in opts]
-            pick = rng.random() * sum(weights)
-            acc = 0.0
-            mate = opts[-1][0]
-            for (cand, _), w in zip(opts, weights):
-                acc += w
-                if pick < acc:
-                    mate = cand
-                    break
-            if mate is None:
-                stack.append(rest)
+    def evaluate(self, lam: Sequence[float]) -> None:
+        """Forward sweep: re-evaluate every compiled node at bundle activities ``lam``."""
+        w = [math.log(x) for x in lam]
+        w.append(0.0)
+        if w == self.weight:
+            return
+        self.weight = w
+        self._cum.clear()
+        val, split, kids, slots = self.val, self.split, self.kids, self.slots
+        for i in range(1, len(val)):
+            if split[i]:
+                total = 0.0
+                for k in kids[i]:
+                    total += val[k]
+                val[i] = total
             else:
-                chosen.append((pivot, mate) if pivot < mate else (mate, pivot))
-                stack.append(rest & ~(1 << mate))
+                val[i] = _logsumexp([w[s] + val[k] for k, s in zip(kids[i], slots[i])])
+
+    def bundle_marginals(self, root: int) -> list[float]:
+        """Reverse sweep: Pr[bundle s in M] = d log Z / d log lambda_s for every slot.
+
+        ``outside[i]`` is the log of the summed weight of everything outside
+        node i on the ways down from ``root`` to it: the matched terms above
+        it and the sibling components beside it.  A term's probability is
+        exp(outside + log lambda_s + inside - log Z).  In log domain a node
+        reached along one way only gets its outside weight by additions, with
+        no exp/log round trip: on a star every leaf edge's marginal comes out
+        bit-identical, so calibration keeps symmetric activities symmetric.
+        """
+        val, w, split, kids, slots = self.val, self.weight, self.split, self.kids, self.slots
+        exp, log1p, ninf = math.exp, math.log1p, -math.inf
+        log_z = val[root]
+        outside = [ninf] * (root + 1)
+        outside[root] = 0.0
+        grad = [0.0] * len(w)
+        for i in range(root, 0, -1):
+            o = outside[i]
+            if o == ninf:
+                continue
+            ks = kids[i]
+            if split[i]:
+                terms = [(k, o + sum(val[j] for j in ks if j != k)) for k in ks]
+            else:
+                terms = [(k, o + w[s]) for k, s in zip(ks, slots[i])]
+                for (k, c), s in zip(terms, slots[i]):
+                    if s >= 0:
+                        grad[s] += exp(c + val[k] - log_z)
+            for k, c in terms:
+                if k == 0:
+                    continue
+                prev = outside[k]
+                if prev == ninf:
+                    outside[k] = c
+                elif prev >= c:
+                    outside[k] = prev + log1p(exp(c - prev))
+                else:
+                    outside[k] = c + log1p(exp(prev - c))
+        grad.pop()
+        return grad
+
+    def _cumulative(self, i: int) -> tuple[float, list[float]]:
+        w, val = self.weight, self.val
+        terms = [w[s] + val[k] for k, s in zip(self.kids[i], self.slots[i])]
+        hi = max(terms)
+        weights = [math.exp(t - hi) for t in terms]
+        cum = []
+        acc = 0.0
+        for x in weights:
+            acc += x
+            cum.append(acc)
+        got = (sum(weights), cum)
+        self._cum[i] = got
+        return got
+
+    def sample(self, root: int, rng: np.random.Generator) -> list[int]:
+        """Exact matching draw below ``root``, as the chosen bundle slots.
+
+        Each component node's terms are the summands of its partition
+        function, so descending with those probabilities samples the model
+        exactly.  Components are visited depth first in order, one uniform
+        draw per component node.
+        """
+        chosen: list[int] = []
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            if self.split[i]:
+                stack.extend(reversed(self.kids[i]))
+                continue
+            total, cum = self._cum.get(i) or self._cumulative(i)
+            pos = min(bisect_right(cum, rng.random() * total), len(cum) - 1)
+            s = self.slots[i][pos]
+            if s >= 0:
+                chosen.append(s)
+            stack.append(self.kids[i][pos])
         return chosen
 
 
@@ -249,31 +380,17 @@ def _check_cap(count: int, cap: int | None) -> None:
 def log_partition_function(model: HardCoreModel, cap: int | None = None) -> float:
     """log Z, where Z sums the activity products of all matchings (incl. empty)."""
     _check_cap(model.collapse().m, cap)
-    calc = model.zcalc()
-    return calc.log_z(frozenset(range(model.graph.n)))
+    dag = model.dag()
+    return dag.log_z(dag.full)
 
 
 def exact_marginals(model: HardCoreModel, cap: int | None = None) -> dict[int, float]:
-    """Pr[e in M] = lambda(e) * Z(G - u - v) / Z(G) for every edge id."""
-    _check_cap(model.collapse().m, cap)
-    calc = model.zcalc()
-    everything = (1 << model.graph.n) - 1
-    log_z_all = calc.log_z_mask(everything)
-    out: dict[int, float] = {}
-    for eid, (u, v) in enumerate(model.graph.endpoints):
-        drop = everything & ~(1 << u | 1 << v)
-        log_num = math.log(model.activities[eid]) + calc.log_z_mask(drop)
-        out[eid] = math.exp(log_num - log_z_all)
-    return out
-
-
-def exact_marginal(model: HardCoreModel, eid: int, cap: int | None = None) -> float:
-    _check_cap(model.collapse().m, cap)
-    calc = model.zcalc()
-    everything = frozenset(range(model.graph.n))
-    u, v = model.graph.endpoints[eid]
-    log_num = math.log(model.activities[eid]) + calc.log_z(everything - {u, v})
-    return math.exp(log_num - calc.log_z(everything))
+    """Pr[e in M] for every edge id, from one reverse sweep of the DAG."""
+    collapse = model.collapse()
+    _check_cap(collapse.m, cap)
+    dag = model.dag()
+    bundle = dag.bundle_marginals(dag.node(dag.full))
+    return collapse.edge_marginals(model.activities, collapse.lam, bundle)
 
 
 def conditional_marginal(
@@ -298,10 +415,11 @@ def conditional_marginal(
     region = frozenset(ball_set - matched_vertices(graph, frozen_ids))
     if u not in region or v not in region:
         return 0.0
-    calc = model.zcalc()
-    _check_cap(calc.simple_edges_within(region), cap)
-    log_num = math.log(model.activities[eid]) + calc.log_z(region - {u, v})
-    return math.exp(log_num - calc.log_z(region))
+    dag = model.dag()
+    mask = dag.mask_of(region)
+    _check_cap(dag.edges_within(mask), cap)
+    log_num = math.log(model.activities[eid]) + dag.log_z(mask & ~(1 << u | 1 << v))
+    return math.exp(log_num - dag.log_z(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -519,18 +637,17 @@ def sample_matching_recursive(
     rng: np.random.Generator,
     cap: int | None = None,
 ) -> frozenset[int]:
-    """Exact draw via the memoized partition-function recursion.
+    """Exact draw by walking the model's compiled partition-function DAG.
 
-    Costs one recursion warm-up on first use and cheap walks after, so it
-    replaces enumeration whenever the collapsed view fits the exact cap.
-    Chosen pairs are thinned to host edges in proportion to their activities.
+    Costs one compile on first use and cheap walks after, so it replaces
+    enumeration whenever the collapsed view fits the exact cap.  Chosen pairs
+    are thinned to host edges in proportion to their activities.
     """
     collapse = model.collapse()
     _check_cap(collapse.m, cap)
-    calc = model.zcalc()
-    pairs = calc.sample(frozenset(range(model.graph.n)), rng)
-    index = {pair: s for s, pair in enumerate(collapse.pairs)}
-    return frozenset(_lift_bundle(model, collapse, index[p], rng) for p in pairs)
+    dag = model.dag()
+    slots = dag.sample(dag.node(dag.full), rng)
+    return frozenset(_lift_bundle(model, collapse, s, rng) for s in slots)
 
 
 def estimate_marginals(
@@ -622,15 +739,6 @@ def calibrate_activities(
                 "1/c are achievable exactly when chi* < c"
             )
 
-    probe = HardCoreModel(graph, [1.0] * graph.m)
-    exact = probe.collapse().m <= (EXACT_CAP if exact_cap is None else exact_cap)
-    method = "exact" if exact else "mcmc"
-    if tol is None:
-        tol = 1e-6 if exact else 1e-2
-    chain = chain or ChainConfig()
-    if not exact and rng is None:
-        rng = stream(chain.seed, "calibrate")
-
     tf = {eid: float(t) for eid, t in targets.items()}
     lam = {eid: tf[eid] / (1.0 - tf[eid]) for eid in range(graph.m)}
     if initial is not None:
@@ -638,11 +746,25 @@ def calibrate_activities(
             if eid in lam and math.isfinite(val) and val > 0.0:
                 lam[eid] = float(val)
 
+    collapse = _Collapse(graph, lam)
+    exact = collapse.m <= (EXACT_CAP if exact_cap is None else exact_cap)
+    method = "exact" if exact else "mcmc"
+    if tol is None:
+        tol = 1e-6 if exact else 1e-2
+    chain = chain or ChainConfig()
+    if not exact and rng is None:
+        rng = stream(chain.seed, "calibrate")
+    if exact:
+        # Compiled once; each iteration is one forward and one reverse sweep.
+        dag = _ZDag(collapse.n, collapse.pairs, collapse.lam)
+        root = dag.node(dag.full)
+
     def marginals_of(acts: dict[int, float]) -> dict[int, float]:
-        model = HardCoreModel(graph, acts)
-        if exact:
-            return exact_marginals(model, cap=exact_cap)
-        return estimate_marginals(model, chain, samples, rng=rng)
+        if not exact:
+            return estimate_marginals(HardCoreModel(graph, acts), chain, samples, rng=rng)
+        bundle_lam = collapse.bundle_sums(acts)
+        dag.evaluate(bundle_lam)
+        return collapse.edge_marginals(acts, bundle_lam, dag.bundle_marginals(root))
 
     exponent = 1.0
     prev_err = math.inf
@@ -744,7 +866,7 @@ def measure_correlation_decay(
         for f, (a, b) in enumerate(graph.endpoints)
         if (dist[a] >= t or dist[a] < 0) and (dist[b] >= t or dist[b] < 0)
     ]
-    base = exact_marginal(model, eid)
+    base = exact_marginals(model)[eid]
     if not far:
         return 0.0
 
@@ -784,6 +906,6 @@ def measure_correlation_decay(
                 sub_lam.append(model.activities[f])
         sub = HardCoreModel(Multigraph(len(region), sub_edges), sub_lam)
         assert new_eid is not None
-        cond = exact_marginal(sub, new_eid)
+        cond = exact_marginals(sub)[new_eid]
         worst = max(worst, abs(cond / base - 1.0))
     return worst

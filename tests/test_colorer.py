@@ -15,7 +15,8 @@ from matchcolor.colorer import (
     round_measure,
     run_round,
 )
-from matchcolor.errors import CapacityError, GreedyBlockedError
+from matchcolor import colorer
+from matchcolor.errors import CapacityError, GreedyBlockedError, LocalSearchError, RoundError
 from matchcolor.graphs import Multigraph, is_matching, validate_coloring
 from matchcolor.hardcore import HardCoreModel, exact_marginals
 
@@ -190,6 +191,36 @@ def test_run_round_is_deterministic(shannon3_round):
     state1, _ = run_round(g, p, cfg)
     state2, _ = run_round(g, p, cfg)
     assert state1 == state2
+
+
+def test_run_round_propagates_search_bugs(shannon3_round, monkeypatch):
+    # Only step-cap exhaustion is retried; any other error is a bug and
+    # must reach the caller as raised, not as a RoundError after retries.
+    g, cfg, p = shannon3_round
+    bug = ValueError("bug inside the search")
+    calls = []
+
+    def broken_search(*args, **kwargs):
+        calls.append(1)
+        raise bug
+
+    monkeypatch.setattr(colorer, "run_with_selector", broken_search)
+    with pytest.raises(ValueError) as info:
+        run_round(g, p, cfg)
+    assert info.value is bug
+    assert len(calls) == 1
+
+
+def test_run_round_retries_step_cap_exhaustion(shannon3_round, monkeypatch):
+    g, cfg, p = shannon3_round
+
+    def exhausted(*args, **kwargs):
+        raise LocalSearchError("step cap reached", trace="last")
+
+    monkeypatch.setattr(colorer, "run_with_selector", exhausted)
+    with pytest.raises(RoundError) as info:
+        run_round(g, p, cfg)
+    assert info.value.trace == "last"
 
 
 # ---------------------------------------------------------------------------

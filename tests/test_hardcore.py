@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchcolor import (
@@ -14,7 +14,6 @@ from matchcolor import (
     ChainConfig,
     HardCoreModel,
     calibrate_activities,
-    exact_marginal,
     exact_marginals,
     log_partition_function,
     measure_correlation_decay,
@@ -24,7 +23,7 @@ from matchcolor import (
     stream,
 )
 from matchcolor.errors import CapacityError
-from matchcolor.graphs import is_matching
+from matchcolor.graphs import Multigraph, is_matching
 from matchcolor.hardcore import (
     conditional_marginal,
     default_steps,
@@ -115,7 +114,53 @@ def test_marginals_match_enumeration():
         probs = exact_distribution(model).as_dict()
         for e in range(g.m):
             direct = sum(p for matching, p in probs.items() if e in matching)
-            assert abs(exact_marginal(model, e) - direct) < 1e-11
+            assert abs(exact_marginals(model)[e] - direct) < 1e-11
+
+
+def _enumerated(g, acts):
+    """log Z and per-edge marginals by brute-force enumeration."""
+    weights = {m: math.prod(acts[e] for e in m) for m in enumerate_matchings(g)}
+    z = sum(weights.values())
+    margs = [sum(w for m, w in weights.items() if e in m) / z for e in range(g.m)]
+    return math.log(z), margs
+
+
+@st.composite
+def models_with_two_activity_vectors(draw):
+    """Up to 8 vertices and 12 edges, where parallel bundles, isolated
+    vertices and disconnected parts all occur, plus two activity vectors."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    edges: list[tuple[int, int]] = []
+    if n >= 2:
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+        for (u, v), mult in draw(st.lists(st.tuples(pair, st.integers(1, 3)), max_size=8)):
+            edges.extend([(u, v)] * mult)
+    g = Multigraph(n, edges[:12])
+    acts = st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=g.m, max_size=g.m)
+    return g, draw(acts), draw(acts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models_with_two_activity_vectors())
+@example((Multigraph(7, [(0, 1), (0, 1), (1, 2), (4, 5), (5, 6), (4, 6), (4, 6)]),
+          [0.5, 2.0, 1.0, 3.0, 0.2, 7.0, 1.5], [9.0, 0.1, 4.0, 0.3, 5.0, 1.0, 2.5]))
+def test_compiled_dag_reevaluates_exactly(case):
+    # One DAG, two activity vectors in turn, then the first again: a value
+    # left stale by a sweep shows up as a mismatch against enumeration.
+    g, first, second = case
+    model = HardCoreModel(g, first)
+    collapse = model.collapse()
+    dag = model.dag()
+    root = dag.node(dag.full)
+    for acts in (first, second, first):
+        lam = collapse.bundle_sums(acts)
+        dag.evaluate(lam)
+        log_z, margs = _enumerated(g, acts)
+        assert math.isclose(dag.val[root], log_z, rel_tol=1e-10)
+        got = collapse.edge_marginals(acts, lam, dag.bundle_marginals(root))
+        for e in range(g.m):
+            assert math.isclose(got[e], margs[e], rel_tol=1e-10)
 
 
 @given(st.integers(min_value=0, max_value=500))
@@ -157,7 +202,7 @@ def test_conditional_marginal_on_restricted_region():
     model = HardCoreModel(g, [1.0] * 5)
     got = conditional_marginal(model, 0, [4], range(g.n))
     sub = HardCoreModel(path_graph(3), [1.0] * 3)
-    assert abs(got - exact_marginal(sub, 0)) < 1e-12
+    assert abs(got - exact_marginals(sub)[0]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +269,26 @@ def test_recursive_sampler_lifts_parallel_bundles():
     assert abs(counts[frozenset()] / 9000 - 1 / 6) < 0.02
     assert abs(counts[frozenset({0})] / 9000 - 2 / 6) < 0.02
     assert abs(counts[frozenset({1})] / 9000 - 3 / 6) < 0.02
+
+
+@pytest.mark.parametrize("graph", [double_edge(), path_graph(3)], ids=["double_edge", "path3"])
+def test_recursive_sampler_after_reevaluation(graph):
+    # Draw once at other activities so every node's draw weights are cached,
+    # then re-evaluate the same DAG at the model's own: draws must follow
+    # the model's law, not the cached weights.
+    acts = [2.0, 3.0, 0.5][: graph.m]
+    model = HardCoreModel(graph, acts)
+    collapse = model.collapse()
+    dag = model.dag()
+    dag.evaluate(collapse.bundle_sums([7.0] * graph.m))
+    dag.sample(dag.node(dag.full), stream(16, "rec-warm"))
+    dag.evaluate(collapse.lam)
+    rng = stream(16, "rec-reeval")
+    counts: dict[frozenset, int] = {}
+    for _ in range(10000):
+        m = sample_matching_recursive(model, rng)
+        counts[m] = counts.get(m, 0) + 1
+    assert tv_distance(counts, exact_distribution(model)) <= 0.025
 
 
 def test_recursive_sampler_on_multigraph():
