@@ -332,7 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--activities", default=None, help="JSON edge id -> activity")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--chain-steps", type=int, default=None)
-    p.add_argument("--exact", action="store_true", help="draw exactly from the hard-core law instead of running the chain")
+    p.add_argument(
+        "--exact",
+        action="store_true",
+        help="draw exactly from the hard-core law instead of running the chain",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sample)
 

@@ -273,15 +273,17 @@ def test_recursive_sampler_lifts_parallel_bundles():
 
 @pytest.mark.parametrize("graph", [double_edge(), path_graph(3)], ids=["double_edge", "path3"])
 def test_recursive_sampler_after_reevaluation(graph):
-    # Draw once at other activities so every node's draw weights are cached,
-    # then re-evaluate the same DAG at the model's own: draws must follow
-    # the model's law, not the cached weights.
+    # Draw at other activities so the nodes' draw weights are cached, then
+    # re-evaluate the same DAG at the model's own: draws must follow the
+    # model's law, not the cached weights.
     acts = [2.0, 3.0, 0.5][: graph.m]
     model = HardCoreModel(graph, acts)
     collapse = model.collapse()
     dag = model.dag()
     dag.evaluate(collapse.bundle_sums([7.0] * graph.m))
-    dag.sample(dag.node(dag.full), stream(16, "rec-warm"))
+    warm = stream(16, "rec-warm")
+    for _ in range(50):
+        dag.sample(dag.node(dag.full), warm)
     dag.evaluate(collapse.lam)
     rng = stream(16, "rec-reeval")
     counts: dict[frozenset, int] = {}
