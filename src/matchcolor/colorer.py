@@ -18,9 +18,14 @@ extra colors.  Total colors: chi* + O(chi*^(3/4)) + O(chi0).
 Resampling a matching M around a core H at radius t keeps the sub-matching
 with both endpoints at distance >= t from H, then redraws the rest from the
 hard-core law on the graph induced on the distance-(<= t) ball minus the kept
-endpoints.  Exact action kernels and the product measure over matching tuples
-are exposed for small instances so search convergence certificates (charges,
-commutation, lopsidependency) can be evaluated against the same code paths.
+endpoints.  A round builds one hard-core model and shares it across its
+attempts, initial draws and repairs: a redraw walks that model's compiled
+partition-function DAG from the free region's node, which holds the induced
+law, so no subgraph or submodel is built per repair (only the chain sampler,
+above the exact cap, runs on an induced submodel).  Exact action kernels
+and the product measure over matching tuples are exposed for small
+instances so search convergence certificates (charges, commutation,
+lopsidependency) can be evaluated against the same code paths.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .errors import CapacityError, LocalSearchError, RoundError
 from .fractional import chi_star, find_violated_matching_constraint
 from .graphs import (
     Multigraph,
-    ball_subgraph,
+    ball_vertices,
     delete_matchings,
     distances_from,
     induced_subgraph,
@@ -216,21 +221,46 @@ def plan_round(
 # Sampling and resampling
 
 
-def _draw(model: HardCoreModel, cfg: GsConfig, rng: np.random.Generator) -> frozenset[int]:
-    if cfg.sampler == "exact" or (cfg.sampler == "auto" and model.collapse().m <= EXACT_CAP):
-        return sample_matching_recursive(model, rng)
-    return sample_matching(model, ChainConfig(steps=cfg.chain_steps), rng=rng)
+def _draw(
+    model: HardCoreModel,
+    cfg: GsConfig,
+    rng: np.random.Generator,
+    region: frozenset[int] | None = None,
+) -> frozenset[int]:
+    """One hard-core draw from ``model``, or from its law induced on ``region``.
+
+    The exact path walks the model's compiled DAG from the region's node; it
+    is taken when ``cfg.sampler`` is "exact", or "auto" with at most
+    ``EXACT_CAP`` collapsed edges inside the region.  The chain runs on the
+    model itself, or on a submodel induced on the region.
+    """
+    exact = cfg.sampler == "exact"
+    if cfg.sampler == "auto":
+        if region is None:
+            edges = model.collapse().m
+        else:
+            dag = model.dag()
+            edges = dag.edges_within(dag.mask_of(region))
+        exact = edges <= EXACT_CAP
+    if exact:
+        return sample_matching_recursive(model, rng, region=region)
+    chain = ChainConfig(steps=cfg.chain_steps)
+    if region is None:
+        return sample_matching(model, chain, rng=rng)
+    sub = induced_subgraph(model.graph, region)
+    submodel = HardCoreModel(sub.graph, [model.activities[h] for h in sub.edge_ids])
+    return frozenset(sub.edge_ids[j] for j in sample_matching(submodel, chain, rng=rng))
 
 
 def initial_state(
-    graph: Multigraph,
+    model: HardCoreModel,
     params: RoundParams,
     cfg: GsConfig,
     round_index: int = 0,
     attempt: int = 0,
 ) -> RoundState:
-    """Draw the N independent matchings, one derived stream per slot."""
-    model = HardCoreModel(graph, params.activities)
+    """Draw the N independent matchings from the round's model, one derived
+    stream per slot."""
     out = []
     for i in range(params.n_matchings):
         rng = stream(cfg.master_seed, "round", round_index, "attempt", attempt, "init", i)
@@ -262,58 +292,55 @@ def _resample_regions(
     graph: Multigraph, core: frozenset[int], radius: int
 ) -> tuple[frozenset[int], frozenset[int]]:
     """(vertices at distance < t from the core, vertices at distance <= t)."""
-    inner, _ = ball_subgraph(graph, core, radius)
-    outer, _ = ball_subgraph(graph, core, radius + 1)
-    return inner, outer
+    return ball_vertices(graph, core, radius), ball_vertices(graph, core, radius + 1)
 
 
 def resample_matching(
-    graph: Multigraph,
-    activities: Mapping[int, float],
+    model: HardCoreModel,
     matching: frozenset[int],
     inner: frozenset[int],
     outer: frozenset[int],
     cfg: GsConfig,
     rng: np.random.Generator,
 ) -> frozenset[int]:
-    """Keep edges clear of the inner ball, redraw hard-core on the free region."""
+    """Keep edges clear of the inner ball, redraw hard-core on the free region.
+
+    The redraw comes from ``model``'s law induced on the free region: the
+    outer ball minus the endpoints of the kept edges.
+    """
+    graph = model.graph
     frozen = frozenset(
         eid
         for eid in matching
         if graph.endpoints[eid][0] not in inner and graph.endpoints[eid][1] not in inner
     )
     region = outer - matched_vertices(graph, frozen)
-    sub = induced_subgraph(graph, region)
-    submodel = HardCoreModel(sub.graph, [activities[h] for h in sub.edge_ids])
-    fresh_local = _draw(submodel, cfg, rng)
-    fresh = frozenset(sub.edge_ids[j] for j in fresh_local)
-    return frozen | fresh
+    return frozen | _draw(model, cfg, rng, region)
 
 
 def _make_address(
-    graph: Multigraph, params: RoundParams, cfg: GsConfig, core: frozenset[int]
+    model: HardCoreModel, params: RoundParams, cfg: GsConfig, core: frozenset[int]
 ) -> Callable[[RoundState, np.random.Generator], RoundState]:
-    inner, outer = _resample_regions(graph, core, params.radius)
+    inner, outer = _resample_regions(model.graph, core, params.radius)
 
     def address(state: RoundState, rng: np.random.Generator) -> RoundState:
-        return tuple(
-            resample_matching(graph, params.activities, m, inner, outer, cfg, rng)
-            for m in state
-        )
+        return tuple(resample_matching(model, m, inner, outer, cfg, rng) for m in state)
 
     return address
 
 
 def flaw_footprint(graph: Multigraph, core: Iterable[int], radius: int) -> frozenset[int]:
     """Vertices the repair can read or write: distance < radius + 2 from the core."""
-    return ball_subgraph(graph, core, radius + 2)[0]
+    return ball_vertices(graph, core, radius + 2)
 
 
 def make_selector(
-    graph: Multigraph, params: RoundParams, cfg: GsConfig
+    model: HardCoreModel, params: RoundParams, cfg: GsConfig
 ) -> Callable[[RoundState], Flaw | None]:
     """Highest-priority present flaw: vertices in id order, then the first
-    violating odd set reported by the constraint oracle."""
+    violating odd set reported by the constraint oracle.  Repairs redraw
+    from ``model``, the round's hard-core model."""
+    graph = model.graph
     thr = params.degree_threshold
 
     def select(state: RoundState) -> Flaw | None:
@@ -325,7 +352,7 @@ def make_selector(
                     kind="vertex",
                     key=("vertex", v),
                     footprint=flaw_footprint(graph, core, params.radius),
-                    address=_make_address(graph, params, cfg, core),
+                    address=_make_address(model, params, cfg, core),
                 )
         if graph.n >= 3:
             resid = _residual_graph(graph, state)
@@ -339,7 +366,7 @@ def make_selector(
                         kind="odd_set",
                         key=("odd_set", cert.vertices),
                         footprint=flaw_footprint(graph, core, params.radius),
-                        address=_make_address(graph, params, cfg, core),
+                        address=_make_address(model, params, cfg, core),
                     )
         return None
 
@@ -358,10 +385,13 @@ def run_round(
     round error carrying the last trace when all attempts fail.  Any other
     error from the search propagates unchanged.
     """
-    select = make_selector(graph, params, cfg)
+    # One model, and so one compiled DAG, serves every draw of the round:
+    # each attempt's initial matchings and every repair's regional redraw.
+    model = HardCoreModel(graph, params.activities)
+    select = make_selector(model, params, cfg)
     last_trace: RunTrace | None = None
     for attempt in range(cfg.retries):
-        state = initial_state(graph, params, cfg, round_index, attempt)
+        state = initial_state(model, params, cfg, round_index, attempt)
         rng = stream(cfg.master_seed, "round", round_index, "attempt", attempt, "search")
         try:
             trace = run_with_selector(state, select, rng, step_cap=cfg.step_cap)
@@ -581,6 +611,7 @@ def round_flaw_specs(
     one spec per vertex, then one per connected odd set within the cap."""
     cfg = cfg or GsConfig()
     thr = params.degree_threshold
+    model = HardCoreModel(graph, params.activities)
     specs: list[FlawSpec] = []
 
     def vertex_detect(v: int) -> Callable[[RoundState], bool]:
@@ -609,7 +640,7 @@ def round_flaw_specs(
             FlawSpec(
                 name=f"vertex:{v}",
                 detect=vertex_detect(v),
-                address=_make_address(graph, params, cfg, core),
+                address=_make_address(model, params, cfg, core),
                 footprint=flaw_footprint(graph, core, params.radius),
                 kernel=resample_kernel(graph, params, core),
             )
@@ -622,7 +653,7 @@ def round_flaw_specs(
                 FlawSpec(
                     name="oddset:" + "-".join(map(str, vs)),
                     detect=set_detect(vs),
-                    address=_make_address(graph, params, cfg, core),
+                    address=_make_address(model, params, cfg, core),
                     footprint=flaw_footprint(graph, core, params.radius),
                     kernel=resample_kernel(graph, params, core),
                 )

@@ -160,15 +160,20 @@ def induced_subgraph(graph: Multigraph, vertices: Iterable[int]) -> InducedSubgr
     return InducedSubgraph(Multigraph(len(verts), edges), tuple(verts), tuple(edge_ids))
 
 
-def ball_subgraph(graph: Multigraph, center: Iterable[int], radius: int) -> tuple[frozenset[int], InducedSubgraph]:
-    """Vertices at distance < radius from the center set, and the induced multigraph."""
+def ball_vertices(graph: Multigraph, center: Iterable[int], radius: int) -> frozenset[int]:
+    """Vertices at distance < radius from the center set."""
     center = list(center)
     if not center:
         raise ValueError("center set must be non-empty")
     if radius < 0:
         raise ValueError("radius must be non-negative")
     dist = distances_from(graph, center)
-    inside = frozenset(v for v in range(graph.n) if 0 <= dist[v] < radius)
+    return frozenset(v for v in range(graph.n) if 0 <= dist[v] < radius)
+
+
+def ball_subgraph(graph: Multigraph, center: Iterable[int], radius: int) -> tuple[frozenset[int], InducedSubgraph]:
+    """Vertices at distance < radius from the center set, and the induced multigraph."""
+    inside = ball_vertices(graph, center, radius)
     return inside, induced_subgraph(graph, inside)
 
 

@@ -16,7 +16,8 @@ memoized on live-vertex sets and factored over connected components, with
 values in log domain filled in as nodes are created.  For new activities, a
 forward sweep re-evaluates every node; a reverse sweep then gives every
 bundle marginal d log Z / d log lambda at once; and an exact draw walks the
-DAG from its root.  Calibration compiles once and sweeps on every iteration.
+DAG from its root, or from the node of a vertex region for the law induced
+there.  Calibration compiles once and sweeps on every iteration.
 
 Approximate sampling is a Metropolis chain over matchings of the collapsed
 graph with insert / delete / slide proposals.
@@ -636,17 +637,30 @@ def sample_matching_recursive(
     model: HardCoreModel,
     rng: np.random.Generator,
     cap: int | None = None,
+    region: Iterable[int] | None = None,
 ) -> frozenset[int]:
     """Exact draw by walking the model's compiled partition-function DAG.
 
     Costs one compile on first use and cheap walks after, so it replaces
-    enumeration whenever the collapsed view fits the exact cap.  Chosen pairs
-    are thinned to host edges in proportion to their activities.
+    enumeration whenever the collapsed view fits the exact cap.  With
+    ``region`` (a set of the model's vertices) the draw comes from the law
+    induced on those vertices, by a walk from the region's node; nodes not
+    yet compiled are added on demand, and the cap applies to the collapsed
+    edges inside the region.  The region's node orders pivots, components,
+    neighbours and bundle members as the induced submodel's root would, so
+    the draw equals that submodel's under the same stream.  Chosen pairs are
+    thinned to host edges in proportion to their activities.
     """
     collapse = model.collapse()
-    _check_cap(collapse.m, cap)
     dag = model.dag()
-    slots = dag.sample(dag.node(dag.full), rng)
+    if region is None:
+        _check_cap(collapse.m, cap)
+        root = dag.node(dag.full)
+    else:
+        mask = dag.mask_of(region)
+        _check_cap(dag.edges_within(mask), cap)
+        root = dag.node(mask)
+    slots = dag.sample(root, rng)
     return frozenset(_lift_bundle(model, collapse, s, rng) for s in slots)
 
 

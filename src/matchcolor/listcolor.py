@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -39,7 +39,7 @@ import numpy as np
 from .colorer import _draw, _graph_diameter, greedy_edge_coloring, resample_matching
 from .errors import GreedyBlockedError, InfeasibleTargetError
 from .fractional import chi_star
-from .graphs import Multigraph, ball_subgraph, matched_vertices, restrict_edges
+from .graphs import Multigraph, ball_vertices, matched_vertices, restrict_edges
 from .hardcore import (
     EXACT_CAP,
     ChainConfig,
@@ -132,9 +132,21 @@ class IterationContext:
     iteration: int
     uncolored: tuple[int, ...]
     locality_audits: int = 0
+    # Per color: the hard-core model of G_i and the host ids of its edges,
+    # built on first use and shared by the iteration's draw and every repair.
+    models: dict[int, tuple[HardCoreModel, tuple[int, ...]]] = field(
+        default_factory=dict, repr=False
+    )
 
     def index_of(self, color: int) -> int:
         return self.colors.index(color)
+
+    def color_model(self, color: int) -> tuple[HardCoreModel, tuple[int, ...]]:
+        got = self.models.get(color)
+        if got is None:
+            got = _color_model(self.graph, self.g_edges[color], self.activities[color])
+            self.models[color] = got
+        return got
 
 
 def build_color_subgraphs(graph: Multigraph, lists: ListMap) -> dict[int, tuple[int, ...]]:
@@ -168,28 +180,34 @@ def equalizer_probability(alpha: float, m_i: float, others: Iterable[float]) -> 
     return max(0.0, (alpha - q) / (1.0 - q))
 
 
+def _color_model(
+    graph: Multigraph, edges: Iterable[int], acts: Mapping[int, float]
+) -> tuple[HardCoreModel, tuple[int, ...]]:
+    """The hard-core model on one color subgraph (all host vertices, the
+    given edges in id order) and the host ids of its edges."""
+    sub, kept = restrict_edges(graph, edges)
+    return HardCoreModel(sub, [acts[h] for h in kept]), kept
+
+
 def _color_marginals(
-    graph: Multigraph,
-    edges: tuple[int, ...],
-    acts: Mapping[int, float],
+    model: HardCoreModel,
+    kept: tuple[int, ...],
     cfg: ListConfig,
     rng: np.random.Generator,
 ) -> tuple[dict[int, float], bool]:
-    """Marginals of the hard-core law on one color subgraph, host-keyed.
+    """Marginals of a color model's hard-core law, host-keyed.
 
     Returns (marginals, estimated) where estimated means chain frequencies
     rather than exact values.
     """
-    sub, kept = restrict_edges(graph, edges)
-    model = HardCoreModel(sub, [acts[h] for h in kept])
     exact_ok = cfg.sampler != "chain" and model.collapse().m <= EXACT_CAP
     if exact_ok:
         local = exact_marginals(model)
-        return {kept[j]: local[j] for j in range(sub.m)}, False
+        return {h: local[j] for j, h in enumerate(kept)}, False
     local = estimate_marginals(
         model, ChainConfig(steps=cfg.chain_steps), cfg.marginal_samples, rng=rng
     )
-    return {kept[j]: local[j] for j in range(sub.m)}, True
+    return {h: local[j] for j, h in enumerate(kept)}, True
 
 
 def init_iteration(
@@ -217,10 +235,11 @@ def init_iteration(
     # Colors with the same edge set and targets (e.g. identical lists
     # everywhere) calibrate once and share the result.
     calib_cache: dict[tuple, object] = {}
+    models: dict[int, tuple[HardCoreModel, tuple[int, ...]]] = {}
     for c in colors:
         edges = g_edges[c]
-        sub, kept = restrict_edges(graph, edges)
         if prev_activities is None:
+            sub, kept = restrict_edges(graph, edges)
             min_list = min(len(list(lists[h])) for h in kept)
             level = chi_star(sub).value
             if level >= min_list:
@@ -249,9 +268,9 @@ def init_iteration(
             estimated |= calib.method == "mcmc"
         else:
             acts[c] = {h: prev_activities[c][h] for h in edges}
+            models[c] = _color_model(graph, edges, acts[c])
             m_host, est = _color_marginals(
-                graph, edges, acts[c], cfg,
-                stream(cfg.master_seed, "iter", iteration, "marginals", c),
+                *models[c], cfg, stream(cfg.master_seed, "iter", iteration, "marginals", c)
             )
             margs[c] = m_host
             estimated |= est
@@ -281,6 +300,7 @@ def init_iteration(
         cfg=cfg,
         iteration=iteration,
         uncolored=tuple(sorted(uncolored)),
+        models=models,
     )
 
 
@@ -290,8 +310,7 @@ def sample_iteration(ctx: IterationContext) -> ColorState:
     ms, As, Hs = [], [], []
     for c in ctx.colors:
         edges = ctx.g_edges[c]
-        sub, kept = restrict_edges(ctx.graph, edges)
-        model = HardCoreModel(sub, [ctx.activities[c][h] for h in kept])
+        model, kept = ctx.color_model(c)
         rng_m = stream(cfg.master_seed, "iter", ctx.iteration, "color", c, "match")
         local = _draw(model, cfg, rng_m)
         ms.append(frozenset(kept[j] for j in local))
@@ -358,7 +377,9 @@ def _sigma_post(
         edges = gprime.get(c, ())
         if not edges:
             continue
-        margs, est = _color_marginals(ctx.graph, edges, ctx.activities[c], ctx.cfg, rng)
+        margs, est = _color_marginals(
+            *_color_model(ctx.graph, edges, ctx.activities[c]), ctx.cfg, rng
+        )
         estimated |= est
         for e, m in margs.items():
             totals[e] = totals.get(e, 0.0) + m
@@ -374,13 +395,14 @@ def _fix_address(ctx: IterationContext, core: frozenset[int]):
         Hs = list(state.held)
         for idx, c in enumerate(ctx.colors):
             edges = ctx.g_edges[c]
-            sub, kept = restrict_edges(ctx.graph, edges)
+            # The color's own model, as drawn from by sample_iteration; its
+            # balls are taken in G_i's metric.
+            model, kept = ctx.color_model(c)
             pos = {h: j for j, h in enumerate(kept)}
-            inner, _ = ball_subgraph(sub, core, ctx.radius)
-            outer, _ = ball_subgraph(sub, core, ctx.radius + 1)
+            inner = ball_vertices(model.graph, core, ctx.radius)
+            outer = ball_vertices(model.graph, core, ctx.radius + 1)
             local_m = frozenset(pos[h] for h in state.matchings[idx])
-            acts_local = {j: ctx.activities[c][kept[j]] for j in range(sub.m)}
-            new_local = resample_matching(sub, acts_local, local_m, inner, outer, cfg, rng)
+            new_local = resample_matching(model, local_m, inner, outer, cfg, rng)
             ms[idx] = frozenset(kept[j] for j in new_local)
             a = set(As[idx])
             h = set(Hs[idx])
@@ -428,7 +450,7 @@ def make_iteration_selector(ctx: IterationContext):
         live_now.update(edges)
 
     def footprint(core: frozenset[int]) -> frozenset[int]:
-        return ball_subgraph(ctx.graph, core, ctx.radius + 2)[0]
+        return ball_vertices(ctx.graph, core, ctx.radius + 2)
 
     def select(state: ColorState) -> Flaw | None:
         claims = claims_by_edge(ctx, state)

@@ -205,37 +205,6 @@ def causality_from_footprints(flaws: Sequence[FlawSpec]) -> CausalityGraph:
     return CausalityGraph(nbrs)
 
 
-def causality_from_kernels(
-    flaws: Sequence[FlawSpec], states: Sequence[Any]
-) -> CausalityGraph:
-    """Exact causality on an enumerated space: i causes j when some action step
-    sigma -> tau (rho > 0) lands in f_j although sigma was outside it (or i = j,
-    recorded as mutual adjacency only for distinct pairs).  Symmetrized."""
-    present = {
-        spec.name: {s for s in states if spec.detect(s)} for spec in flaws
-    }
-    causes: set[tuple[str, str]] = set()
-    for spec in flaws:
-        if spec.kernel is None:
-            raise ValueError(f"flaw {spec.name!r} has no exact kernel")
-        for sigma in present[spec.name]:
-            for tau, p in spec.kernel(sigma).items():
-                if p <= 0:
-                    continue
-                for other in flaws:
-                    if other.name == spec.name:
-                        continue
-                    if tau in present[other.name] and sigma not in present[other.name]:
-                        causes.add((spec.name, other.name))
-    nbrs = {
-        spec.name: frozenset(
-            {b for a, b in causes if a == spec.name} | {a for a, b in causes if b == spec.name}
-        )
-        for spec in flaws
-    }
-    return CausalityGraph(nbrs)
-
-
 # ---------------------------------------------------------------------------
 # Charges
 

@@ -15,12 +15,12 @@ from matchcolor.colorer import (
     round_measure,
     run_round,
 )
-from matchcolor import colorer
+from matchcolor import colorer, hardcore
 from matchcolor.errors import CapacityError, GreedyBlockedError, LocalSearchError, RoundError
 from matchcolor.graphs import Multigraph, is_matching, validate_coloring
 from matchcolor.hardcore import HardCoreModel, exact_marginals
 
-from support import path_graph, shannon, star_multigraph, sweep_corpus
+from support import gs_instance, path_graph, shannon, star_multigraph, sweep_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -110,22 +110,23 @@ def test_plan_round_rejects_sub_unit_target_level():
 
 def test_initial_state_shape_and_determinism(star_plan):
     g, cfg, p = star_plan
-    state = initial_state(g, p, cfg)
+    model = HardCoreModel(g, p.activities)
+    state = initial_state(model, p, cfg)
     assert len(state) == p.n_matchings
     assert all(is_matching(g, m) for m in state)
-    assert initial_state(g, p, cfg) == state
-    assert initial_state(g, p, cfg, attempt=1) != state
+    assert initial_state(model, p, cfg) == state
+    assert initial_state(model, p, cfg, attempt=1) != state
 
 
 def test_resample_matching_preserves_frozen_edges():
     g = path_graph(8)
-    acts = {e: 1.0 for e in range(g.m)}
+    model = HardCoreModel(g, {e: 1.0 for e in range(g.m)})
     cfg = GsConfig(epsilon=0.5)
     inner = frozenset({3, 4, 5})  # distance < 2 from vertex 4
     outer = frozenset({2, 3, 4, 5, 6})
     rng = stream(7, "resample")
     for _ in range(25):
-        new = resample_matching(g, acts, frozenset({0, 7}), inner, outer, cfg, rng)
+        new = resample_matching(model, frozenset({0, 7}), inner, outer, cfg, rng)
         assert is_matching(g, new)
         # Edges clear of the inner ball survive untouched.
         assert {0, 7} <= new
@@ -135,7 +136,7 @@ def test_resample_matching_preserves_frozen_edges():
 
 def test_resample_matching_drops_inner_edges():
     g = path_graph(8)
-    acts = {e: 1.0 for e in range(g.m)}
+    model = HardCoreModel(g, {e: 1.0 for e in range(g.m)})
     cfg = GsConfig(epsilon=0.5)
     inner = frozenset({3, 4, 5})
     outer = frozenset({2, 3, 4, 5, 6})
@@ -144,7 +145,7 @@ def test_resample_matching_drops_inner_edges():
     # the redraw may or may not reinstate it.  Edge 0 is always kept.
     seen_without = False
     for _ in range(40):
-        new = resample_matching(g, acts, frozenset({0, 4}), inner, outer, cfg, rng)
+        new = resample_matching(model, frozenset({0, 4}), inner, outer, cfg, rng)
         assert 0 in new
         if 4 not in new:
             seen_without = True
@@ -175,7 +176,7 @@ def test_run_round_reaches_flawless_state(shannon3_round):
     state, trace = run_round(g, p, cfg)
     assert trace.flawless
     assert len(state) == p.n_matchings
-    assert make_selector(g, p, cfg)(state) is None
+    assert make_selector(HardCoreModel(g, p.activities), p, cfg)(state) is None
     # The driver exact-verified the residual level internally (n <= 10);
     # re-check the degree component here.
     union = set().union(*state)
@@ -221,6 +222,35 @@ def test_run_round_retries_step_cap_exhaustion(shannon3_round, monkeypatch):
     with pytest.raises(RoundError) as info:
         run_round(g, p, cfg)
     assert info.value.trace == "last"
+
+
+def test_color_multigraph_compiles_one_sampling_dag_per_round(monkeypatch):
+    # Every draw of a round, repairs included, walks the round model's DAG:
+    # besides the DAG each exact calibration compiles, a run builds one per
+    # round, however many repairs its search makes.
+    built = []
+    exact_calibrations = []
+
+    class CountingDag(hardcore._ZDag):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    def counting_calibrate(*args, **kwargs):
+        result = hardcore.calibrate_activities(*args, **kwargs)
+        exact_calibrations.append(result.method == "exact")
+        return result
+
+    monkeypatch.setattr(hardcore, "_ZDag", CountingDag)
+    monkeypatch.setattr(colorer, "calibrate_activities", counting_calibrate)
+    g = gs_instance(0)
+    cfg = GsConfig(epsilon=0.5, master_seed=0, chi0_override=10, t_override=2, step_cap=3000)
+    coloring, stats = color_multigraph(g, cfg)
+    assert validate_coloring(g, coloring).ok
+    rounds = stats["rounds"]
+    assert len(rounds) >= 2
+    assert sum(r["steps"] for r in rounds) >= 10  # the searches repaired
+    assert len(built) - sum(exact_calibrations) == len(rounds)
 
 
 # ---------------------------------------------------------------------------

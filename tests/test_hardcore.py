@@ -23,7 +23,7 @@ from matchcolor import (
     stream,
 )
 from matchcolor.errors import CapacityError
-from matchcolor.graphs import Multigraph, is_matching
+from matchcolor.graphs import Multigraph, induced_subgraph, is_matching
 from matchcolor.hardcore import (
     conditional_marginal,
     default_steps,
@@ -125,10 +125,9 @@ def _enumerated(g, acts):
     return math.log(z), margs
 
 
-@st.composite
-def models_with_two_activity_vectors(draw):
+def _small_multigraph(draw) -> Multigraph:
     """Up to 8 vertices and 12 edges, where parallel bundles, isolated
-    vertices and disconnected parts all occur, plus two activity vectors."""
+    vertices and disconnected parts all occur."""
     n = draw(st.integers(min_value=0, max_value=8))
     edges: list[tuple[int, int]] = []
     if n >= 2:
@@ -136,9 +135,18 @@ def models_with_two_activity_vectors(draw):
         pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
         for (u, v), mult in draw(st.lists(st.tuples(pair, st.integers(1, 3)), max_size=8)):
             edges.extend([(u, v)] * mult)
-    g = Multigraph(n, edges[:12])
-    acts = st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=g.m, max_size=g.m)
-    return g, draw(acts), draw(acts)
+    return Multigraph(n, edges[:12])
+
+
+def _activities(g: Multigraph):
+    return st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=g.m, max_size=g.m)
+
+
+@st.composite
+def models_with_two_activity_vectors(draw):
+    """A small multigraph (see ``_small_multigraph``) and two activity vectors."""
+    g = _small_multigraph(draw)
+    return g, draw(_activities(g)), draw(_activities(g))
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,6 +169,52 @@ def test_compiled_dag_reevaluates_exactly(case):
         got = collapse.edge_marginals(acts, lam, dag.bundle_marginals(root))
         for e in range(g.m):
             assert math.isclose(got[e], margs[e], rel_tol=1e-10)
+
+
+@st.composite
+def models_with_region(draw):
+    """A small multigraph with activities, a random vertex region, whether
+    to draw from the whole graph first, and a stream seed."""
+    g = _small_multigraph(draw)
+    acts = draw(_activities(g))
+    region = draw(st.frozensets(st.integers(0, g.n - 1))) if g.n else frozenset()
+    return g, acts, region, draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(models_with_region())
+@example((Multigraph(7, [(0, 1), (0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (4, 6)]),
+          [0.5, 2.0, 1.0, 3.0, 0.2, 7.0, 1.5, 4.0], frozenset({0, 1, 2, 4, 6}), True, 5))
+def test_region_draws_match_induced_submodel(case):
+    # A walk from the region's node of the host DAG is the induced
+    # submodel's exact draw: same matchings under identically seeded
+    # streams, the same random numbers consumed, and the same log Z.
+    g, acts, region, host_first, seed = case
+    model = HardCoreModel(g, acts)
+    dag = model.dag()
+    if host_first:
+        # Nodes compiled for the whole graph must not change the region's.
+        sample_matching_recursive(model, stream(seed, "host"))
+    sub = induced_subgraph(g, region)
+    submodel = HardCoreModel(sub.graph, [acts[h] for h in sub.edge_ids])
+    assert dag.log_z(dag.mask_of(region)) == log_partition_function(submodel)
+    host_rng, sub_rng = stream(seed, "region"), stream(seed, "region")
+    for _ in range(5):
+        got = sample_matching_recursive(model, host_rng, region=region)
+        want = sample_matching_recursive(submodel, sub_rng)
+        assert got == frozenset(sub.edge_ids[j] for j in want)
+    assert host_rng.random() == sub_rng.random()
+
+
+def test_region_draw_cap_counts_region_edges():
+    g = path_graph(21)
+    model = HardCoreModel(g, [1.0] * g.m)
+    with pytest.raises(CapacityError):
+        sample_matching_recursive(model, stream(0, "x"), cap=20)
+    region = frozenset(range(11))  # 10 edges
+    assert is_matching(g, sample_matching_recursive(model, stream(0, "x"), cap=10, region=region))
+    with pytest.raises(CapacityError):
+        sample_matching_recursive(model, stream(0, "x"), cap=9, region=region)
 
 
 @given(st.integers(min_value=0, max_value=500))
