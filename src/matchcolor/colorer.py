@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -43,7 +44,6 @@ from .fractional import chi_star, find_violated_matching_constraint
 from .graphs import (
     Multigraph,
     ball_vertices,
-    delete_matchings,
     distances_from,
     induced_subgraph,
     matched_vertices,
@@ -62,8 +62,6 @@ from .localsearch import Flaw, FlawSpec, RunTrace, run_with_selector
 from .rng import stream
 
 RoundState = tuple[frozenset[int], ...]
-
-EXACT_VERIFY_N = 10  # residual chi* is re-derived exactly up to this size
 
 
 @dataclass(frozen=True)
@@ -131,6 +129,12 @@ class RoundParams:
         return self.c_star - self.delta * self.n_matchings
 
 
+def exact_cap_for(sampler: str) -> int:
+    """The most collapsed edges a sampler setting computes exactly: none for
+    "chain", any number for "exact", and ``EXACT_CAP`` for "auto"."""
+    return {"chain": -1, "exact": sys.maxsize, "auto": EXACT_CAP}[sampler]
+
+
 def _graph_diameter(graph: Multigraph) -> int:
     best = 0
     for v in range(graph.n):
@@ -174,12 +178,6 @@ def plan_round(
             "small for this round structure (raise chi0 or color greedily)"
         )
     target = (1 - delta) / value
-    if cfg.sampler == "chain":
-        exact_cap = -1
-    elif cfg.sampler == "exact":
-        exact_cap = 10**9
-    else:
-        exact_cap = None
     if rng is None:
         rng = stream(cfg.master_seed, "round", round_index, "calibrate")
     calib = calibrate_activities(
@@ -189,7 +187,7 @@ def plan_round(
         max_iters=cfg.calibration_max_iters,
         chain=ChainConfig(steps=cfg.chain_steps),
         samples=cfg.calibration_samples,
-        exact_cap=exact_cap,
+        exact_cap=exact_cap_for(cfg.sampler),
         rng=rng,
         initial=warm,
     )
@@ -230,20 +228,19 @@ def _draw(
     """One hard-core draw from ``model``, or from its law induced on ``region``.
 
     The exact path walks the model's compiled DAG from the region's node; it
-    is taken when ``cfg.sampler`` is "exact", or "auto" with at most
-    ``EXACT_CAP`` collapsed edges inside the region.  The chain runs on the
-    model itself, or on a submodel induced on the region.
+    is taken when the region's collapsed edges fit the sampler's exact cap
+    (``exact_cap_for``).  The chain runs on the model itself, or on a
+    submodel induced on the region.
     """
-    exact = cfg.sampler == "exact"
-    if cfg.sampler == "auto":
+    cap = exact_cap_for(cfg.sampler)
+    if cap >= 0:
         if region is None:
             edges = model.collapse().m
         else:
             dag = model.dag()
             edges = dag.edges_within(dag.mask_of(region))
-        exact = edges <= EXACT_CAP
-    if exact:
-        return sample_matching_recursive(model, rng, region=region)
+        if edges <= cap:
+            return sample_matching_recursive(model, rng, cap=cap, region=region)
     chain = ChainConfig(steps=cfg.chain_steps)
     if region is None:
         return sample_matching(model, chain, rng=rng)
@@ -379,11 +376,12 @@ def run_round(
     cfg: GsConfig,
     round_index: int = 0,
 ) -> tuple[RoundState, RunTrace]:
-    """Sample, repair until flawless, and certify the residual level.
+    """Sample and repair until flawless.
 
     Retries with fresh derived streams on step-cap exhaustion; raises a
     round error carrying the last trace when all attempts fail.  Any other
-    error from the search propagates unchanged.
+    error from the search propagates unchanged.  ``color_multigraph``
+    certifies the residual level when it measures the next round's chi*.
     """
     # One model, and so one compiled DAG, serves every draw of the round:
     # each attempt's initial matchings and every repair's regional redraw.
@@ -398,18 +396,7 @@ def run_round(
         except LocalSearchError as err:
             last_trace = err.trace
             continue
-        final: RoundState = trace.final_state
-        if graph.n <= EXACT_VERIFY_N:
-            resid = delete_matchings(graph, final)
-            if resid.m:
-                level = chi_star(resid).value
-                if level > params.c_star:
-                    raise RoundError(
-                        f"flawless state leaves residual chi* = {level} above the "
-                        f"target {params.c_star}",
-                        trace=trace,
-                    )
-        return final, trace
+        return trace.final_state, trace
     raise RoundError(
         f"round {round_index}: local search exhausted {cfg.retries} attempts",
         trace=last_trace,
@@ -457,11 +444,13 @@ def color_multigraph(graph: Multigraph, cfg: GsConfig | None = None) -> tuple[di
     colors above all round colors.  Stats record, per round, the matching
     count, the target level, search steps, and addressed-flaw counts; plus
     the overall color count, the input's chi*, and their ratio.
+
+    Each round's residual is certified exactly: its chi*, measured when the
+    next round is planned, must not exceed the round's target level c*.
     """
     cfg = cfg or GsConfig()
     if graph.m == 0:
         return {}, {"rounds": [], "colors_used": 0, "chi_star": "0", "ratio": 0.0}
-    overall = chi_star(graph).value
     coloring: dict[int, int] = {}
     next_color = 0
     rounds: list[dict] = []
@@ -469,8 +458,19 @@ def color_multigraph(graph: Multigraph, cfg: GsConfig | None = None) -> tuple[di
     cur_to_orig = list(range(graph.m))
     round_index = 0
     warm: dict[int, float] | None = None
+    prev: RoundParams | None = None
     while current.m:
         params = plan_round(current, cfg, round_index, warm=warm)
+        # Planning measured chi* of this graph; asking again is a lookup.
+        level = params.chi_star if params is not None else chi_star(current).value
+        if prev is None:
+            overall = level
+        elif level > prev.c_star:
+            raise RoundError(
+                f"round {round_index - 1}: flawless state leaves residual chi* = "
+                f"{level} above the target {prev.c_star}",
+                trace=trace,
+            )
         if params is None:
             break
         state, trace = run_round(current, params, cfg, round_index)
@@ -498,6 +498,7 @@ def color_multigraph(graph: Multigraph, cfg: GsConfig | None = None) -> tuple[di
             }
         )
         round_index += 1
+        prev = params
     if current.m:
         tail = greedy_edge_coloring(current, first_color=next_color)
         for eid, c in tail.items():

@@ -14,6 +14,7 @@ upper-bound pruning, so it is exhaustive within the vertex cap.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -169,6 +170,10 @@ def find_violated_matching_constraint(
     return None
 
 
+# Exhaustive answers by graph object; graphs are immutable.
+_MEMO: "weakref.WeakKeyDictionary[Multigraph, FractionalIndex]" = weakref.WeakKeyDictionary()
+
+
 def chi_star(graph: Multigraph, size_cap: int | None = None) -> FractionalIndex:
     """Fractional chromatic index; exact when size_cap covers the whole graph,
     otherwise a lower bound flagged non-exhaustive.
@@ -176,8 +181,20 @@ def chi_star(graph: Multigraph, size_cap: int | None = None) -> FractionalIndex:
     The odd-set maximum is located by iterating the violation search: start at
     c = Delta, and whenever a violating H is found raise c to its ratio.  The
     final level is achieved and unbeaten, so it equals the true maximum over
-    sets within the cap.
+    sets within the cap.  With the default ``size_cap`` the result is
+    memoized per graph object (weakly, so it goes with the graph): a
+    pipeline that asks again about the same graph, to plan a round and then
+    to check its calibration target, pays one search.
     """
+    if size_cap is not None:
+        return _search(graph, size_cap)
+    got = _MEMO.get(graph)
+    if got is None:
+        got = _MEMO[graph] = _search(graph, None)
+    return got
+
+
+def _search(graph: Multigraph, size_cap: int | None) -> FractionalIndex:
     if graph.m == 0:
         raise ValueError("fractional chromatic index of an edgeless graph is undefined here")
     if size_cap is not None and not (1 <= size_cap <= graph.n):

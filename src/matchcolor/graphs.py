@@ -25,19 +25,22 @@ from .errors import ParseError
 class Multigraph:
     """An undirected multigraph with dense edge ids."""
 
-    __slots__ = ("n", "endpoints", "incidence")
+    __slots__ = ("n", "endpoints", "incidence", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         endpoints = []
+        # Parallel edges share one endpoint tuple: heavy multiplicities cost
+        # one pointer per edge, not one tuple.
+        shared: dict[tuple[int, int], tuple[int, int]] = {}
         incidence: list[list[int]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {eid}: endpoint out of range: ({u}, {v})")
             if u == v:
                 raise ValueError(f"edge {eid}: loops are not allowed (vertex {u})")
-            endpoints.append((u, v))
+            endpoints.append(shared.setdefault((u, v), (u, v)))
             incidence[u].append(eid)
             incidence[v].append(eid)
         self.n = n

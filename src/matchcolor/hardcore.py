@@ -17,7 +17,8 @@ values in log domain filled in as nodes are created.  For new activities, a
 forward sweep re-evaluates every node; a reverse sweep then gives every
 bundle marginal d log Z / d log lambda at once; and an exact draw walks the
 DAG from its root, or from the node of a vertex region for the law induced
-there.  Calibration compiles once and sweeps on every iteration.
+there.  Calibration compiles once and sweeps on every iteration, fitting one
+activity per class of parallel edges with a common target and start.
 
 Approximate sampling is a Metropolis chain over matchings of the collapsed
 graph with insert / delete / slide proposals.
@@ -280,6 +281,7 @@ class _ZDag:
         self.weight = w
         self._cum.clear()
         val, split, kids, slots = self.val, self.split, self.kids, self.slots
+        exp, log = math.exp, math.log
         for i in range(1, len(val)):
             if split[i]:
                 total = 0.0
@@ -287,7 +289,20 @@ class _ZDag:
                     total += val[k]
                 val[i] = total
             else:
-                val[i] = _logsumexp([w[s] + val[k] for k, s in zip(kids[i], slots[i])])
+                # _logsumexp inlined; the unmatched term is a log Z >= 0, so
+                # the maximum is finite.
+                ks, ss = kids[i], slots[i]
+                if len(ks) == 2:
+                    # Most nodes (a degree-one pivot): max and sum of two
+                    # terms, as the general branch computes them.
+                    a = w[ss[0]] + val[ks[0]]
+                    b = w[ss[1]] + val[ks[1]]
+                    hi = b if b > a else a
+                    val[i] = hi + log(exp(a - hi) + exp(b - hi))
+                else:
+                    terms = [w[s] + val[k] for k, s in zip(ks, ss)]
+                    hi = max(terms)
+                    val[i] = hi + log(sum([exp(t - hi) for t in terms]))
 
     def bundle_marginals(self, root: int) -> list[float]:
         """Reverse sweep: Pr[bundle s in M] = d log Z / d log lambda_s for every slot.
@@ -311,14 +326,17 @@ class _ZDag:
             if o == ninf:
                 continue
             ks = kids[i]
-            if split[i]:
-                terms = [(k, o + sum(val[j] for j in ks if j != k)) for k in ks]
-            else:
-                terms = [(k, o + w[s]) for k, s in zip(ks, slots[i])]
-                for (k, c), s in zip(terms, slots[i]):
+            is_split = split[i]
+            # A split node's term for a component carries its siblings'
+            # weight; a component node's term carries its slot's activity.
+            # Split nodes have no slots, so their kids stand in for them.
+            for k, s in zip(ks, ks if is_split else slots[i]):
+                if is_split:
+                    c = o + sum([val[j] for j in ks if j != k])
+                else:
+                    c = o + w[s]
                     if s >= 0:
                         grad[s] += exp(c + val[k] - log_z)
-            for k, c in terms:
                 if k == 0:
                     continue
                 prev = outside[k]
@@ -723,6 +741,12 @@ def calibrate_activities(
     damped by halving on the sampled path.  Marginals come from the exact path
     below the cap and from chain estimates above it.  ``initial`` warm-starts
     the activities (useful when recalibrating after small edits).
+
+    On the exact path, parallel edges with the same target and the same
+    starting activity form a class: their marginals and updates agree bit for
+    bit, so the fit runs on one activity per class and expands them to host
+    edges at the end.  Uniform targets are checked against chi* first
+    (memoized, so a caller that just measured the graph pays nothing).
     """
     if graph.m == 0:
         return CalibrationResult({}, {}, 0.0, 0, 0.0, "exact")
@@ -768,36 +792,61 @@ def calibrate_activities(
     chain = chain or ChainConfig()
     if not exact and rng is None:
         rng = stream(chain.seed, "calibrate")
+
+    # ``cls`` maps each host edge to its activity class and ``rep`` each
+    # class to its first member; on the chain path every edge is a class.
+    cls = list(range(graph.m))
+    rep = cls
     if exact:
+        rep = []
+        slot: list[int] = []
+        ids: dict[tuple[int, float, float], int] = {}
+        for s, mem in enumerate(collapse.members):
+            for eid in mem:
+                key = (s, tf[eid], lam[eid])
+                if key not in ids:
+                    ids[key] = len(rep)
+                    rep.append(eid)
+                    slot.append(s)
+                cls[eid] = ids[key]
+        # Each bundle's member classes, in member order: bundle sums add up
+        # the same floats in the same order as a per-edge sum.
+        seqs = [[cls[eid] for eid in mem] for mem in collapse.members]
         # Compiled once; each iteration is one forward and one reverse sweep.
         dag = _ZDag(collapse.n, collapse.pairs, collapse.lam)
         root = dag.node(dag.full)
 
-    def marginals_of(acts: dict[int, float]) -> dict[int, float]:
+    def marginals_of(acts: list[float]) -> list[float]:
+        """Per-class marginals at per-class activities."""
         if not exact:
-            return estimate_marginals(HardCoreModel(graph, acts), chain, samples, rng=rng)
-        bundle_lam = collapse.bundle_sums(acts)
+            est = estimate_marginals(HardCoreModel(graph, acts), chain, samples, rng=rng)
+            return [est[eid] for eid in range(graph.m)]
+        bundle_lam = [sum(map(acts.__getitem__, seq)) for seq in seqs]
         dag.evaluate(bundle_lam)
-        return collapse.edge_marginals(acts, bundle_lam, dag.bundle_marginals(root))
+        bundle = dag.bundle_marginals(root)
+        return [bundle[s] * a / bundle_lam[s] for s, a in zip(slot, acts)]
 
+    acts = [lam[eid] for eid in rep]
+    tc = [tf[eid] for eid in rep]
+    logt = [math.log(t) for t in tc]
+    log, exp = math.log, math.exp
     exponent = 1.0
     prev_err = math.inf
     prev_prev_err = math.inf
-    best_lam = dict(lam)
+    best_acts = acts
     best_ach = None
     best_err = math.inf
     iterations = 0
     converged = False
-    prev_applied: dict[int, float] = {}
-    prev_logmu: dict[int, float] = {}
-    logt = {eid: math.log(t) for eid, t in tf.items()}
+    prev_applied: list[float] | None = None
+    prev_logmu: list[float] = []
     for iterations in range(1, max_iters + 1):
-        ach = marginals_of(lam)
-        logmu = {eid: math.log(max(ach[eid], 1e-300)) for eid in lam}
-        err = max(abs(ach[eid] - tf[eid]) for eid in lam)
+        ach = marginals_of(acts)
+        logmu = [log(max(a, 1e-300)) for a in ach]
+        err = max([abs(a - t) for a, t in zip(ach, tc)])
         if err < best_err:
             best_err = err
-            best_lam = dict(lam)
+            best_acts = acts
             best_ach = ach
         if err <= tol:
             converged = True
@@ -805,33 +854,31 @@ def calibrate_activities(
         if exact:
             # Raw updates overshoot near criticality (the map's gain exceeds
             # one), so fit the scalar gain from the previous step's response
-            # and take the secant-sized step instead.
-            if prev_applied:
-                num = sum(
-                    (logmu[eid] - prev_logmu[eid]) * prev_applied[eid] for eid in lam
-                )
-                den = sum(a * a for a in prev_applied.values())
+            # and take the secant-sized step instead.  Both sums run over
+            # host edges in id order, a class counted once per member.
+            if prev_applied is not None:
+                prod = [(a - b) * p for a, b, p in zip(logmu, prev_logmu, prev_applied)]
+                num = sum(map(prod.__getitem__, cls))
+                sq = [p * p for p in prev_applied]
+                den = sum(map(sq.__getitem__, cls))
                 if den > 0.0 and num / den > 1e-3:
                     exponent = min(4.0, max(1.0 / 64.0, den / num))
         elif err > prev_err > prev_prev_err:
             exponent = max(exponent * 0.5, 1.0 / 64.0)
         prev_prev_err, prev_err = prev_err, err
-        applied: dict[int, float] = {}
-        for eid in lam:
-            # Clamp to four e-folds per pass; a vanishing marginal would
-            # otherwise request an overflowing jump in one step.
-            step = min(4.0, max(-4.0, exponent * (logt[eid] - logmu[eid])))
-            lam[eid] *= math.exp(step)
-            applied[eid] = step
+        # Clamp to four e-folds per pass; a vanishing marginal would
+        # otherwise request an overflowing jump in one step.
+        applied = [min(4.0, max(-4.0, exponent * (a - b))) for a, b in zip(logt, logmu)]
+        acts = [a * exp(step) for a, step in zip(acts, applied)]
         prev_applied = applied
         prev_logmu = logmu
 
-    k_hat = max(best_lam[eid] / tf[eid] for eid in best_lam)
+    k_hat = max([a / t for a, t in zip(best_acts, tc)])
     if best_ach is None:
-        best_ach = marginals_of(best_lam)
+        best_ach = marginals_of(best_acts)
     result = CalibrationResult(
-        activities=best_lam,
-        achieved=dict(best_ach),
+        activities={eid: best_acts[c] for eid, c in enumerate(cls)},
+        achieved={eid: best_ach[c] for eid, c in enumerate(cls)},
         max_error=best_err,
         iterations=iterations,
         k_hat=k_hat,

@@ -36,12 +36,18 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .colorer import _draw, _graph_diameter, greedy_edge_coloring, resample_matching
+from .colorer import (
+    _draw,
+    _graph_diameter,
+    exact_cap_for,
+    greedy_edge_coloring,
+    resample_matching,
+)
 from .errors import GreedyBlockedError, InfeasibleTargetError
 from .fractional import chi_star
 from .graphs import Multigraph, ball_vertices, matched_vertices, restrict_edges
 from .hardcore import (
-    EXACT_CAP,
+    CalibrationResult,
     ChainConfig,
     HardCoreModel,
     calibrate_activities,
@@ -200,9 +206,9 @@ def _color_marginals(
     Returns (marginals, estimated) where estimated means chain frequencies
     rather than exact values.
     """
-    exact_ok = cfg.sampler != "chain" and model.collapse().m <= EXACT_CAP
-    if exact_ok:
-        local = exact_marginals(model)
+    cap = exact_cap_for(cfg.sampler)
+    if model.collapse().m <= cap:
+        local = exact_marginals(model, cap=cap)
         return {h: local[j] for j, h in enumerate(kept)}, False
     local = estimate_marginals(
         model, ChainConfig(steps=cfg.chain_steps), cfg.marginal_samples, rng=rng
@@ -231,39 +237,38 @@ def init_iteration(
     margs: dict[int, dict[int, float]] = {}
     k_hats: list[float] = []
     estimated = False
-    exact_cap = -1 if cfg.sampler == "chain" else (10**9 if cfg.sampler == "exact" else None)
-    # Colors with the same edge set and targets (e.g. identical lists
-    # everywhere) calibrate once and share the result.
-    calib_cache: dict[tuple, object] = {}
+    # Colors with the same edge set (e.g. identical lists everywhere) have the
+    # same targets 1/|L_e|: they check chi* and calibrate once and share it.
+    calib_cache: dict[tuple[int, ...], tuple[tuple[int, ...], CalibrationResult]] = {}
     models: dict[int, tuple[HardCoreModel, tuple[int, ...]]] = {}
     for c in colors:
         edges = g_edges[c]
         if prev_activities is None:
-            sub, kept = restrict_edges(graph, edges)
-            min_list = min(len(list(lists[h])) for h in kept)
-            level = chi_star(sub).value
-            if level >= min_list:
-                raise InfeasibleTargetError(
-                    f"color {c}: subgraph has chi* = {level} but the shortest "
-                    f"incident list has {min_list} colors; marginals 1/|L_e| "
-                    "need chi* below the list size"
-                )
-            targets = {j: Fraction(1, len(list(lists[kept[j]]))) for j in range(sub.m)}
-            cache_key = (kept, tuple(sorted(targets.items())))
-            calib = calib_cache.get(cache_key)
-            if calib is None:
+            got = calib_cache.get(edges)
+            if got is None:
+                sub, kept = restrict_edges(graph, edges)
+                min_list = min(len(list(lists[h])) for h in kept)
+                level = chi_star(sub).value
+                if level >= min_list:
+                    raise InfeasibleTargetError(
+                        f"color {c}: subgraph has chi* = {level} but the shortest "
+                        f"incident list has {min_list} colors; marginals 1/|L_e| "
+                        "need chi* below the list size"
+                    )
+                targets = {j: Fraction(1, len(list(lists[h]))) for j, h in enumerate(kept)}
                 calib = calibrate_activities(
                     sub,
                     targets,
                     max_iters=cfg.calibration_max_iters,
                     chain=ChainConfig(steps=cfg.chain_steps),
                     samples=cfg.calibration_samples,
-                    exact_cap=exact_cap,
+                    exact_cap=exact_cap_for(cfg.sampler),
                     rng=stream(cfg.master_seed, "iter", iteration, "calibrate", c),
                 )
-                calib_cache[cache_key] = calib
-            acts[c] = {kept[j]: calib.activities[j] for j in range(sub.m)}
-            margs[c] = {kept[j]: calib.achieved[j] for j in range(sub.m)}
+                got = calib_cache[edges] = (kept, calib)
+            kept, calib = got
+            acts[c] = {h: calib.activities[j] for j, h in enumerate(kept)}
+            margs[c] = {h: calib.achieved[j] for j, h in enumerate(kept)}
             k_hats.append(calib.k_hat)
             estimated |= calib.method == "mcmc"
         else:

@@ -15,7 +15,7 @@ from matchcolor.colorer import (
     round_measure,
     run_round,
 )
-from matchcolor import colorer, hardcore
+from matchcolor import colorer, fractional, hardcore
 from matchcolor.errors import CapacityError, GreedyBlockedError, LocalSearchError, RoundError
 from matchcolor.graphs import Multigraph, is_matching, validate_coloring
 from matchcolor.hardcore import HardCoreModel, exact_marginals
@@ -251,6 +251,40 @@ def test_color_multigraph_compiles_one_sampling_dag_per_round(monkeypatch):
     assert len(rounds) >= 2
     assert sum(r["steps"] for r in rounds) >= 10  # the searches repaired
     assert len(built) - sum(exact_calibrations) == len(rounds)
+
+
+def test_color_multigraph_computes_chi_star_once_per_graph(monkeypatch):
+    # Planning a round, calibrating it and certifying the previous round's
+    # residual all need chi* of one graph; each graph is searched once.  A
+    # search starts at level Delta, and only the searches of chi_star reach
+    # the fractional module's binding (the flaw selector holds its own).
+    searched = []
+    search = fractional.find_violated_matching_constraint
+
+    def counting(graph, c, vertex_cap):
+        if c == graph.max_degree():
+            searched.append(graph)
+        return search(graph, c, vertex_cap)
+
+    monkeypatch.setattr(fractional, "find_violated_matching_constraint", counting)
+    g = gs_instance(0)
+    cfg = GsConfig(epsilon=0.5, master_seed=0, chi0_override=10, t_override=2, step_cap=3000)
+    coloring, stats = color_multigraph(g, cfg)
+    assert validate_coloring(g, coloring).ok
+    assert len(stats["rounds"]) >= 2
+    assert len(searched) == len(stats["rounds"]) + 1
+
+
+def test_exact_sampler_draws_beyond_exact_cap():
+    # sampler="exact" walks the DAG at any size: a 72-vertex path has 71
+    # collapsed edges, above EXACT_CAP, and every draw stays exact.
+    g = path_graph(71)
+    assert g.m > hardcore.EXACT_CAP
+    cfg = GsConfig(epsilon=0.5, chi0_override=2, sampler="exact", t_override=2)
+    coloring, stats = color_multigraph(g, cfg)
+    assert validate_coloring(g, coloring).ok
+    assert len(coloring) == g.m
+    assert stats["rounds"]
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,42 @@ def test_calibration_achieves_uniform_targets_on_sweep():
         assert max(abs(achieved[e] - float(target)) for e in achieved) <= 2e-6
 
 
+@st.composite
+def calibration_cases(draw):
+    """A small multigraph (see ``_small_multigraph``) with strictly feasible
+    per-edge targets 1/(2 * max endpoint degree), and a warm start that sets
+    some edges to one of a few values, so a bundle's members can start
+    apart and form several activity classes."""
+    g = _small_multigraph(draw)
+    targets = {
+        e: Fraction(1, 2 * max(g.degree(u), g.degree(v))) for e, (u, v) in enumerate(g.endpoints)
+    }
+    starts = draw(st.lists(st.sampled_from([None, 0.05, 0.3, 2.0]), min_size=g.m, max_size=g.m))
+    return g, targets, {e: x for e, x in enumerate(starts) if x is not None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(calibration_cases())
+@example((Multigraph(5, [(0, 1)] * 3 + [(1, 2)] * 2 + [(2, 3), (3, 4), (4, 0)]),
+          {0: Fraction(1, 10), 1: Fraction(1, 10), 2: Fraction(1, 10), 3: Fraction(1, 10),
+           4: Fraction(1, 10), 5: Fraction(1, 6), 6: Fraction(1, 4), 7: Fraction(1, 8)},
+          {0: 0.3, 2: 2.0, 3: 0.05}))
+def test_calibration_classes_converge_exactly(case):
+    # Members of a bundle with one target and one start form a class and
+    # must end bit-equal; the reported marginals are the model's own.
+    g, targets, initial = case
+    r = calibrate_activities(g, targets, initial=initial)
+    assert r.converged and r.max_error <= 1e-6
+    classes: dict[tuple, float] = {}
+    for e, (u, v) in enumerate(g.endpoints):
+        key = (min(u, v), max(u, v), targets[e], initial.get(e))
+        assert classes.setdefault(key, r.activities[e]) == r.activities[e]
+    if g.m:
+        exact = exact_marginals(HardCoreModel(g, r.activities))
+        assert all(abs(r.achieved[e] - exact[e]) <= 1e-12 for e in range(g.m))
+        assert all(abs(r.achieved[e] - float(targets[e])) <= 1e-6 for e in range(g.m))
+
+
 def test_calibration_warm_start_is_immediate():
     g = cycle_graph(3)
     cold = calibrate_activities(g, Fraction(1, 4))

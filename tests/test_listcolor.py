@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matchcolor import InfeasibleTargetError, ListConfig, list_edge_color
+from matchcolor import InfeasibleTargetError, ListConfig, list_edge_color, stream
 from matchcolor.graphs import Multigraph, is_matching, validate_coloring
+from matchcolor.hardcore import EXACT_CAP, HardCoreModel, exact_marginals
 from matchcolor.listcolor import (
     ColorState,
     IterationContext,
+    _color_marginals,
     build_color_subgraphs,
     claimed_edges,
     claims_by_edge,
@@ -139,6 +141,17 @@ def test_init_iteration_equalizer_table(c5_ctx):
     expect = (0.4 - q) / (1 - q)
     for key, val in ctx.eq.items():
         assert val == pytest.approx(expect, abs=1e-5)
+
+
+def test_exact_sampler_marginals_beyond_exact_cap():
+    # sampler="exact" computes a color's marginals exactly at any size,
+    # without falling back to chain estimates above EXACT_CAP.
+    g = path_graph(EXACT_CAP + 6)
+    model = HardCoreModel(g, [1.0] * g.m)
+    kept = tuple(range(g.m))
+    margs, estimated = _color_marginals(model, kept, ListConfig(sampler="exact"), stream(0, "m"))
+    assert not estimated
+    assert margs == exact_marginals(model, cap=g.m)
 
 
 def test_init_iteration_infeasible_lists():
