@@ -33,7 +33,6 @@ from .hardcore import (
     log_partition_function,
     measure_correlation_decay,
     sample_matching,
-    sample_matching_exact,
     sample_matching_recursive,
 )
 from .listcolor import ListConfig, list_edge_color
@@ -45,7 +44,6 @@ from .localsearch import (
     check_commutativity,
     check_lll_condition,
     estimate_charges_exact,
-    run_local_search,
     verify_lopsidependency,
 )
 from .rng import stream
@@ -89,9 +87,7 @@ __all__ = [
     "log_partition_function",
     "measure_correlation_decay",
     "plan_round",
-    "run_local_search",
     "sample_matching",
-    "sample_matching_exact",
     "sample_matching_recursive",
     "stream",
     "validate_coloring",

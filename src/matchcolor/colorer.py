@@ -18,21 +18,23 @@ extra colors.  Total colors: chi* + O(chi*^(3/4)) + O(chi0).
 Resampling a matching M around a core H at radius t keeps the sub-matching
 with both endpoints at distance >= t from H, then redraws the rest from the
 hard-core law on the graph induced on the distance-(<= t) ball minus the kept
-endpoints.  A round builds one hard-core model and shares it across its
-attempts, initial draws and repairs: a redraw walks that model's compiled
-partition-function DAG from the free region's node, which holds the induced
-law, so no subgraph or submodel is built per repair (only the chain sampler,
-above the exact cap, runs on an induced submodel).  Exact action kernels
-and the product measure over matching tuples are exposed for small
-instances so search convergence certificates (charges, commutation,
-lopsidependency) can be evaluated against the same code paths.
+endpoints.  One distance map from the core gives both balls and the flaw's
+footprint.  A round builds one hard-core model and shares it across its
+attempts, initial draws and repairs; every draw goes through
+``hardcore.draw_matching``, which walks that model's compiled
+partition-function DAG from the free region's node, so no subgraph or
+submodel is built per repair (only the chain sampler, above the exact cap,
+runs on an induced submodel).  ``repair_radius`` plans t for both this
+pipeline and the list pipeline.  Exact action kernels and the product
+measure over matching tuples are exposed for small instances so search
+convergence certificates (charges, commutation, lopsidependency) can be
+evaluated against the same code paths.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -43,20 +45,19 @@ from .errors import CapacityError, LocalSearchError, RoundError
 from .fractional import chi_star, find_violated_matching_constraint
 from .graphs import (
     Multigraph,
-    ball_vertices,
     distances_from,
     induced_subgraph,
     matched_vertices,
+    nested_balls,
     restrict_edges,
 )
 from .hardcore import (
-    EXACT_CAP,
     ChainConfig,
     HardCoreModel,
     calibrate_activities,
+    draw_matching,
+    exact_cap_for,
     log_partition_function,
-    sample_matching,
-    sample_matching_recursive,
 )
 from .localsearch import Flaw, FlawSpec, RunTrace, run_with_selector
 from .rng import stream
@@ -129,12 +130,6 @@ class RoundParams:
         return self.c_star - self.delta * self.n_matchings
 
 
-def exact_cap_for(sampler: str) -> int:
-    """The most collapsed edges a sampler setting computes exactly: none for
-    "chain", any number for "exact", and ``EXACT_CAP`` for "auto"."""
-    return {"chain": -1, "exact": sys.maxsize, "auto": EXACT_CAP}[sampler]
-
-
 def _graph_diameter(graph: Multigraph) -> int:
     best = 0
     for v in range(graph.n):
@@ -142,6 +137,17 @@ def _graph_diameter(graph: Multigraph) -> int:
             continue
         best = max(best, max(d for d in distances_from(graph, [v]) if d >= 0))
     return max(best, 1)
+
+
+def repair_radius(graph: Multigraph, k_hat: float, epsilon: float, t_override: int | None) -> int:
+    """The repair radius t of both pipelines: ``t_override`` when set, else
+    ceil(8 (k_hat + 1)^2 / delta) + 2 with delta = eps/4, clamped to
+    [1, diameter of the graph]."""
+    if t_override is not None:
+        return t_override
+    delta = float(Fraction(str(epsilon)) / 4)
+    radius = math.ceil(8.0 * (k_hat + 1.0) ** 2 / delta) + 2
+    return max(1, min(radius, _graph_diameter(graph)))
 
 
 def _floor_three_quarters(value: Fraction) -> int:
@@ -197,18 +203,12 @@ def plan_round(
         cap -= 1
     largest_odd = graph.n if graph.n % 2 else graph.n - 1
     vertex_cap = max(3, min(cap, max(largest_odd, 3)))
-    if cfg.t_override is not None:
-        radius = cfg.t_override
-    else:
-        radius = math.ceil(8.0 * (calib.k_hat + 1.0) ** 2 / float(delta)) + 2
-        radius = min(radius, _graph_diameter(graph))
-        radius = max(radius, 1)
     return RoundParams(
         chi_star=value,
         n_matchings=n_match,
         c_star=c_star,
         delta=delta,
-        radius=radius,
+        radius=repair_radius(graph, calib.k_hat, cfg.epsilon, cfg.t_override),
         k_hat=calib.k_hat,
         vertex_cap=vertex_cap,
         activities=dict(calib.activities),
@@ -217,36 +217,6 @@ def plan_round(
 
 # ---------------------------------------------------------------------------
 # Sampling and resampling
-
-
-def _draw(
-    model: HardCoreModel,
-    cfg: GsConfig,
-    rng: np.random.Generator,
-    region: frozenset[int] | None = None,
-) -> frozenset[int]:
-    """One hard-core draw from ``model``, or from its law induced on ``region``.
-
-    The exact path walks the model's compiled DAG from the region's node; it
-    is taken when the region's collapsed edges fit the sampler's exact cap
-    (``exact_cap_for``).  The chain runs on the model itself, or on a
-    submodel induced on the region.
-    """
-    cap = exact_cap_for(cfg.sampler)
-    if cap >= 0:
-        if region is None:
-            edges = model.collapse().m
-        else:
-            dag = model.dag()
-            edges = dag.edges_within(dag.mask_of(region))
-        if edges <= cap:
-            return sample_matching_recursive(model, rng, cap=cap, region=region)
-    chain = ChainConfig(steps=cfg.chain_steps)
-    if region is None:
-        return sample_matching(model, chain, rng=rng)
-    sub = induced_subgraph(model.graph, region)
-    submodel = HardCoreModel(sub.graph, [model.activities[h] for h in sub.edge_ids])
-    return frozenset(sub.edge_ids[j] for j in sample_matching(submodel, chain, rng=rng))
 
 
 def initial_state(
@@ -261,7 +231,7 @@ def initial_state(
     out = []
     for i in range(params.n_matchings):
         rng = stream(cfg.master_seed, "round", round_index, "attempt", attempt, "init", i)
-        out.append(_draw(model, cfg, rng))
+        out.append(draw_matching(model, cfg.sampler, cfg.chain_steps, rng))
     return tuple(out)
 
 
@@ -285,11 +255,14 @@ def _residual_graph(graph: Multigraph, state: RoundState) -> Multigraph:
     return sub
 
 
-def _resample_regions(
-    graph: Multigraph, core: frozenset[int], radius: int
-) -> tuple[frozenset[int], frozenset[int]]:
-    """(vertices at distance < t from the core, vertices at distance <= t)."""
-    return ball_vertices(graph, core, radius), ball_vertices(graph, core, radius + 1)
+def _repair_balls(
+    graph: Multigraph, core: Iterable[int], radius: int
+) -> tuple[frozenset[int], ...]:
+    """The vertices at distance < t, <= t and < t + 2 from a repair's core,
+    from one distance map: the inner ball, whose matching edges are redrawn;
+    the outer ball, where the redraw lives; and the flaw's footprint, every
+    vertex the repair can read or write."""
+    return nested_balls(graph, core, (radius, radius + 1, radius + 2))
 
 
 def resample_matching(
@@ -312,23 +285,16 @@ def resample_matching(
         if graph.endpoints[eid][0] not in inner and graph.endpoints[eid][1] not in inner
     )
     region = outer - matched_vertices(graph, frozen)
-    return frozen | _draw(model, cfg, rng, region)
+    return frozen | draw_matching(model, cfg.sampler, cfg.chain_steps, rng, region)
 
 
 def _make_address(
-    model: HardCoreModel, params: RoundParams, cfg: GsConfig, core: frozenset[int]
+    model: HardCoreModel, cfg: GsConfig, inner: frozenset[int], outer: frozenset[int]
 ) -> Callable[[RoundState, np.random.Generator], RoundState]:
-    inner, outer = _resample_regions(model.graph, core, params.radius)
-
     def address(state: RoundState, rng: np.random.Generator) -> RoundState:
         return tuple(resample_matching(model, m, inner, outer, cfg, rng) for m in state)
 
     return address
-
-
-def flaw_footprint(graph: Multigraph, core: Iterable[int], radius: int) -> frozenset[int]:
-    """Vertices the repair can read or write: distance < radius + 2 from the core."""
-    return ball_vertices(graph, core, radius + 2)
 
 
 def make_selector(
@@ -340,17 +306,15 @@ def make_selector(
     graph = model.graph
     thr = params.degree_threshold
 
+    def flaw(kind: str, key: tuple, core: Iterable[int]) -> Flaw:
+        inner, outer, footprint = _repair_balls(graph, core, params.radius)
+        return Flaw(kind, key, footprint, _make_address(model, cfg, inner, outer))
+
     def select(state: RoundState) -> Flaw | None:
         deg = _residual_degrees(graph, state)
         for v in range(graph.n):
             if deg[v] > thr:
-                core = frozenset([v])
-                return Flaw(
-                    kind="vertex",
-                    key=("vertex", v),
-                    footprint=flaw_footprint(graph, core, params.radius),
-                    address=_make_address(model, params, cfg, core),
-                )
+                return flaw("vertex", ("vertex", v), [v])
         if graph.n >= 3:
             resid = _residual_graph(graph, state)
             if resid.m:
@@ -358,13 +322,7 @@ def make_selector(
                     resid, params.c_star, params.vertex_cap
                 )
                 if cert is not None:
-                    core = frozenset(cert.vertices)
-                    return Flaw(
-                        kind="odd_set",
-                        key=("odd_set", cert.vertices),
-                        footprint=flaw_footprint(graph, core, params.radius),
-                        address=_make_address(model, params, cfg, core),
-                    )
+                    return flaw("odd_set", ("odd_set", cert.vertices), cert.vertices)
         return None
 
     return select
@@ -539,8 +497,7 @@ def resample_kernel(
     Enumerates, per slot, the hard-core law on that slot's free region and
     takes the product across slots.  Intended for small instances.
     """
-    core_set = frozenset(core)
-    inner, outer = _resample_regions(graph, core_set, params.radius)
+    inner, outer, _ = _repair_balls(graph, core, params.radius)
 
     def kernel(state: RoundState) -> dict[RoundState, float]:
         per_slot: list[list[tuple[frozenset[int], float]]] = []
@@ -635,28 +592,20 @@ def round_flaw_specs(
 
         return detect
 
-    for v in range(graph.n):
-        core = frozenset([v])
-        specs.append(
-            FlawSpec(
-                name=f"vertex:{v}",
-                detect=vertex_detect(v),
-                address=_make_address(model, params, cfg, core),
-                footprint=flaw_footprint(graph, core, params.radius),
-                kernel=resample_kernel(graph, params, core),
-            )
+    def spec(name: str, detect: Callable[[RoundState], bool], core: Sequence[int]) -> FlawSpec:
+        inner, outer, footprint = _repair_balls(graph, core, params.radius)
+        return FlawSpec(
+            name=name,
+            detect=detect,
+            address=_make_address(model, cfg, inner, outer),
+            footprint=footprint,
+            kernel=resample_kernel(graph, params, core),
         )
+
+    for v in range(graph.n):
+        specs.append(spec(f"vertex:{v}", vertex_detect(v), [v]))
     odd_cap = min(params.vertex_cap, graph.n if graph.n % 2 else graph.n - 1)
     if odd_cap >= 3:
         for vs in _connected_odd_sets(graph, odd_cap):
-            core = frozenset(vs)
-            specs.append(
-                FlawSpec(
-                    name="oddset:" + "-".join(map(str, vs)),
-                    detect=set_detect(vs),
-                    address=_make_address(model, params, cfg, core),
-                    footprint=flaw_footprint(graph, core, params.radius),
-                    kernel=resample_kernel(graph, params, core),
-                )
-            )
+            specs.append(spec("oddset:" + "-".join(map(str, vs)), set_detect(vs), vs))
     return specs

@@ -163,20 +163,23 @@ def induced_subgraph(graph: Multigraph, vertices: Iterable[int]) -> InducedSubgr
     return InducedSubgraph(Multigraph(len(verts), edges), tuple(verts), tuple(edge_ids))
 
 
-def ball_vertices(graph: Multigraph, center: Iterable[int], radius: int) -> frozenset[int]:
-    """Vertices at distance < radius from the center set."""
+def nested_balls(
+    graph: Multigraph, center: Iterable[int], radii: Sequence[int]
+) -> tuple[frozenset[int], ...]:
+    """For each radius r, the vertices at distance < r from the center set,
+    all read off one breadth-first distance map."""
     center = list(center)
     if not center:
         raise ValueError("center set must be non-empty")
-    if radius < 0:
+    if any(r < 0 for r in radii):
         raise ValueError("radius must be non-negative")
     dist = distances_from(graph, center)
-    return frozenset(v for v in range(graph.n) if 0 <= dist[v] < radius)
+    return tuple(frozenset(v for v in range(graph.n) if 0 <= dist[v] < r) for r in radii)
 
 
 def ball_subgraph(graph: Multigraph, center: Iterable[int], radius: int) -> tuple[frozenset[int], InducedSubgraph]:
     """Vertices at distance < radius from the center set, and the induced multigraph."""
-    inside = ball_vertices(graph, center, radius)
+    inside = nested_balls(graph, center, (radius,))[0]
     return inside, induced_subgraph(graph, inside)
 
 

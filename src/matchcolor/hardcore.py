@@ -22,10 +22,16 @@ activity per class of parallel edges with a common target and start.
 
 Approximate sampling is a Metropolis chain over matchings of the collapsed
 graph with insert / delete / slide proposals.
+
+The sampler policy of both pipelines lives here too: ``exact_cap_for`` maps a
+sampler setting ("auto", "exact" or "chain") to the most collapsed edges it
+draws exactly, and ``draw_matching`` walks the DAG when the model or region
+fits that cap and runs the chain otherwise.
 """
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,11 +41,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CalibrationError, CapacityError, InfeasibleTargetError
-from .graphs import Multigraph, distances_from, matched_vertices, require_matching
+from .graphs import Multigraph, distances_from, induced_subgraph, matched_vertices, require_matching
 from .rng import stream
 
 EXACT_CAP = 64  # collapsed simple-edge cap for exact partition functions
-EXACT_SAMPLE_CAP = 20  # collapsed-edge cap for enumeration-based exact draws
 
 
 class HardCoreModel:
@@ -575,66 +580,6 @@ def sample_matching(
     return frozenset(chosen)
 
 
-def _enumerate_matchings_of(endpoints: Sequence[tuple[int, int]]) -> list[list[int]]:
-    out: list[list[int]] = []
-    chosen: list[int] = []
-    used: set[int] = set()
-
-    def recurse(i: int) -> None:
-        if i == len(endpoints):
-            out.append(list(chosen))
-            return
-        u, v = endpoints[i]
-        if u not in used and v not in used:
-            chosen.append(i)
-            used.add(u)
-            used.add(v)
-            recurse(i + 1)
-            used.remove(u)
-            used.remove(v)
-            chosen.pop()
-        recurse(i + 1)
-
-    recurse(0)
-    return out
-
-
-def _enumerate_host_matchings(graph: Multigraph, allowed: Sequence[int]) -> list[list[int]]:
-    ids = sorted(allowed)
-    slots = _enumerate_matchings_of([graph.endpoints[e] for e in ids])
-    return [[ids[i] for i in m] for m in slots]
-
-
-def sample_matching_exact(
-    model: HardCoreModel,
-    rng: np.random.Generator,
-    cap: int = EXACT_SAMPLE_CAP,
-) -> frozenset[int]:
-    """Exact draw by enumerating matchings of the collapsed view.
-
-    Parallel edges are grouped per vertex pair before enumeration, so ``cap``
-    bounds the number of distinct pairs; each pair picked by the draw is then
-    thinned to one host edge in proportion to its activity.
-    """
-    collapse = model.collapse()
-    if collapse.m > cap:
-        raise CapacityError(
-            f"exact draw supports at most {cap} collapsed edges, model has {collapse.m}"
-        )
-    matchings = _enumerate_matchings_of(collapse.pairs)
-    weights = [math.prod(collapse.lam[s] for s in m) for m in matchings]
-    total = sum(weights)
-    pick = rng.random() * total
-    acc = 0.0
-    slots = matchings[-1]
-    for m, w in zip(matchings, weights):
-        acc += w
-        if pick < acc:
-            slots = m
-            break
-    return frozenset(_lift_bundle(model, collapse, s, rng) for s in slots)
-
-
 def _lift_bundle(model: HardCoreModel, collapse: _Collapse, s: int, rng) -> int:
     """Thin a chosen bundle to one of its host edges, by activity weight."""
     members = collapse.members[s]
@@ -659,8 +604,7 @@ def sample_matching_recursive(
 ) -> frozenset[int]:
     """Exact draw by walking the model's compiled partition-function DAG.
 
-    Costs one compile on first use and cheap walks after, so it replaces
-    enumeration whenever the collapsed view fits the exact cap.  With
+    Costs one compile on first use and cheap walks after.  With
     ``region`` (a set of the model's vertices) the draw comes from the law
     induced on those vertices, by a walk from the region's node; nodes not
     yet compiled are added on demand, and the cap applies to the collapsed
@@ -680,6 +624,43 @@ def sample_matching_recursive(
         root = dag.node(mask)
     slots = dag.sample(root, rng)
     return frozenset(_lift_bundle(model, collapse, s, rng) for s in slots)
+
+
+def exact_cap_for(sampler: str) -> int:
+    """The most collapsed edges a sampler setting computes exactly: none for
+    "chain", any number for "exact", and ``EXACT_CAP`` for "auto"."""
+    return {"chain": -1, "exact": sys.maxsize, "auto": EXACT_CAP}[sampler]
+
+
+def draw_matching(
+    model: HardCoreModel,
+    sampler: str,
+    chain_steps: int | None,
+    rng: np.random.Generator,
+    region: frozenset[int] | None = None,
+) -> frozenset[int]:
+    """One hard-core draw from ``model``, or from its law induced on ``region``.
+
+    The exact path walks the model's compiled DAG from the region's node; it
+    is taken when the region's collapsed edges fit the sampler's exact cap
+    (``exact_cap_for``).  The chain runs on the model itself, or on a
+    submodel induced on the region.
+    """
+    cap = exact_cap_for(sampler)
+    if cap >= 0:
+        if region is None:
+            edges = model.collapse().m
+        else:
+            dag = model.dag()
+            edges = dag.edges_within(dag.mask_of(region))
+        if edges <= cap:
+            return sample_matching_recursive(model, rng, cap=cap, region=region)
+    chain = ChainConfig(steps=chain_steps)
+    if region is None:
+        return sample_matching(model, chain, rng=rng)
+    sub = induced_subgraph(model.graph, region)
+    submodel = HardCoreModel(sub.graph, [model.activities[h] for h in sub.edge_ids])
+    return frozenset(sub.edge_ids[j] for j in sample_matching(submodel, chain, rng=rng))
 
 
 def estimate_marginals(
@@ -911,7 +892,9 @@ def measure_correlation_decay(
     endpoints (edges whose endpoints are both at distance >= t).  The
     conditional marginal is computed exactly on the completion subgraph: the
     vertices within distance t minus those saturated by Q, keeping only edges
-    with at least one endpoint strictly inside the ball.
+    with at least one endpoint strictly inside the ball.  Everything is
+    exact: the matchings behind Q are walks of the model's compiled DAG, and
+    a model over ``EXACT_CAP`` collapsed edges raises CapacityError.
     """
     if t < 1:
         raise ValueError("conditioning distance t must be >= 1")
@@ -932,21 +915,10 @@ def measure_correlation_decay(
         return 0.0
 
     far_set = set(far)
-    exact_draw = graph.m <= EXACT_SAMPLE_CAP
-    if exact_draw:
-        # One enumeration serves every draw.
-        matchings = _enumerate_host_matchings(graph, range(graph.m))
-        weights = np.array(
-            [math.prod(model.activities[f] for f in m) for m in matchings]
-        )
-        cum = np.cumsum(weights / weights.sum())
     worst = 0.0
     seen: set[frozenset[int]] = set()
     for _ in range(trials):
-        if exact_draw:
-            sample = matchings[int(np.searchsorted(cum, rng.random()))]
-        else:
-            sample = sample_matching(model, rng=rng)
+        sample = sample_matching_recursive(model, rng)
         frozen = frozenset(f for f in sample if f in far_set)
         if frozen in seen:
             continue

@@ -36,22 +36,18 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .colorer import (
-    _draw,
-    _graph_diameter,
-    exact_cap_for,
-    greedy_edge_coloring,
-    resample_matching,
-)
+from .colorer import greedy_edge_coloring, repair_radius, resample_matching
 from .errors import GreedyBlockedError, InfeasibleTargetError
 from .fractional import chi_star
-from .graphs import Multigraph, ball_vertices, matched_vertices, restrict_edges
+from .graphs import Multigraph, matched_vertices, nested_balls, restrict_edges
 from .hardcore import (
     CalibrationResult,
     ChainConfig,
     HardCoreModel,
     calibrate_activities,
+    draw_matching,
     estimate_marginals,
+    exact_cap_for,
     exact_marginals,
 )
 from .localsearch import Flaw, run_with_selector
@@ -317,7 +313,7 @@ def sample_iteration(ctx: IterationContext) -> ColorState:
         edges = ctx.g_edges[c]
         model, kept = ctx.color_model(c)
         rng_m = stream(cfg.master_seed, "iter", ctx.iteration, "color", c, "match")
-        local = _draw(model, cfg, rng_m)
+        local = draw_matching(model, cfg.sampler, cfg.chain_steps, rng_m)
         ms.append(frozenset(kept[j] for j in local))
         rng_a = stream(cfg.master_seed, "iter", ctx.iteration, "color", c, "activate")
         As.append(frozenset(e for e in edges if rng_a.random() < ctx.alpha))
@@ -401,11 +397,10 @@ def _fix_address(ctx: IterationContext, core: frozenset[int]):
         for idx, c in enumerate(ctx.colors):
             edges = ctx.g_edges[c]
             # The color's own model, as drawn from by sample_iteration; its
-            # balls are taken in G_i's metric.
+            # balls are taken in G_i's metric, from one distance map.
             model, kept = ctx.color_model(c)
             pos = {h: j for j, h in enumerate(kept)}
-            inner = ball_vertices(model.graph, core, ctx.radius)
-            outer = ball_vertices(model.graph, core, ctx.radius + 1)
+            inner, outer = nested_balls(model.graph, core, (ctx.radius, ctx.radius + 1))
             local_m = frozenset(pos[h] for h in state.matchings[idx])
             new_local = resample_matching(model, local_m, inner, outer, cfg, rng)
             ms[idx] = frozenset(kept[j] for j in new_local)
@@ -455,7 +450,7 @@ def make_iteration_selector(ctx: IterationContext):
         live_now.update(edges)
 
     def footprint(core: frozenset[int]) -> frozenset[int]:
-        return ball_vertices(ctx.graph, core, ctx.radius + 2)
+        return nested_balls(ctx.graph, core, (ctx.radius + 2,))[0]
 
     def select(state: ColorState) -> Flaw | None:
         claims = claims_by_edge(ctx, state)
@@ -544,13 +539,7 @@ def list_edge_color(
         )
         if radius is None:
             k_hat = max(ctx.k_hat, 1.0)
-            if cfg.t_override is not None:
-                radius = cfg.t_override
-            else:
-                delta_frac = float(Fraction(str(cfg.epsilon)) / 4)
-                radius = math.ceil(8.0 * (k_hat + 1.0) ** 2 / delta_frac) + 2
-                radius = max(1, min(radius, _graph_diameter(graph)))
-            ctx.radius = radius
+            radius = ctx.radius = repair_radius(graph, k_hat, cfg.epsilon, cfg.t_override)
         state = sample_iteration(ctx)
         select = make_iteration_selector(ctx)
         rng = stream(cfg.master_seed, "iter", iteration, "search")

@@ -1,7 +1,8 @@
 """Flaw-driven local search with measure-based verification tools.
 
-The search walks a state space: while any flaw is present, address the one of
-highest fixed priority with its (randomized) repair action, up to a step cap.
+The search walks a state space: while a selector reports a present flaw (the
+one of highest priority), apply that flaw's randomized repair action, up to a
+step cap.  Both pipelines drive their searches through ``run_with_selector``.
 
 For enumerable spaces the module can also evaluate, exactly, the quantities
 that certify convergence of such walks against a background measure mu:
@@ -89,23 +90,14 @@ class RunTrace:
         ]
 
 
-def _resolve_cap(step_cap: int | None, report: "ChargeReport | None") -> int:
-    if step_cap is not None:
-        return step_cap
-    if report is not None and report.t0 is not None and report.epsilon:
-        return max(1, math.ceil((report.t0 + 64) / report.epsilon))
-    return DEFAULT_STEP_CAP
-
-
 def run_with_selector(
     initial: Any,
     select: Callable[[Any], Flaw | None],
     rng: np.random.Generator,
     step_cap: int | None = None,
-    charge_report: "ChargeReport | None" = None,
 ) -> RunTrace:
     """Drive the search with a dynamic selector returning the top-priority flaw."""
-    cap = _resolve_cap(step_cap, charge_report)
+    cap = DEFAULT_STEP_CAP if step_cap is None else step_cap
     state = initial
     addressed: list[TraceRecord] = []
     for step in range(1, cap + 1):
@@ -115,55 +107,6 @@ def run_with_selector(
         state = flaw.address(state, rng)
         addressed.append(TraceRecord(step, flaw.kind, flaw.key, len(flaw.footprint)))
     if select(state) is None:
-        return RunTrace(cap, addressed, True, state)
-    raise LocalSearchError(
-        f"step cap {cap} exhausted with flaws remaining",
-        trace=RunTrace(cap, addressed, False, state),
-    )
-
-
-def run_local_search(
-    initial: Any,
-    flaws: Sequence[FlawSpec],
-    rng: np.random.Generator,
-    step_cap: int | None = None,
-    charge_report: "ChargeReport | None" = None,
-    full_rescan_every: int = 1024,
-) -> RunTrace:
-    """Static-priority search over a fixed flaw list (priority = list order).
-
-    After addressing flaw i only flaws whose footprints intersect i's are
-    re-tested; a full rescan runs every ``full_rescan_every`` steps as a
-    safety net.
-    """
-    cap = _resolve_cap(step_cap, charge_report)
-    touches: list[list[int]] = [[] for _ in flaws]
-    for i, a in enumerate(flaws):
-        for j, b in enumerate(flaws):
-            if i != j and (a.footprint & b.footprint):
-                touches[i].append(j)
-    status: list[bool | None] = [None] * len(flaws)
-    state = initial
-    addressed: list[TraceRecord] = []
-    for step in range(1, cap + 1):
-        if step % full_rescan_every == 0:
-            status = [None] * len(flaws)
-        hit = None
-        for i, spec in enumerate(flaws):
-            if status[i] is None:
-                status[i] = bool(spec.detect(state))
-            if status[i]:
-                hit = i
-                break
-        if hit is None:
-            return RunTrace(step - 1, addressed, True, state)
-        spec = flaws[hit]
-        state = spec.address(state, rng)
-        addressed.append(TraceRecord(step, spec.name, spec.name, len(spec.footprint)))
-        status[hit] = None
-        for j in touches[hit]:
-            status[j] = None
-    if all(not spec.detect(state) for spec in flaws):
         return RunTrace(cap, addressed, True, state)
     raise LocalSearchError(
         f"step cap {cap} exhausted with flaws remaining",

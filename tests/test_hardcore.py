@@ -18,7 +18,6 @@ from matchcolor import (
     log_partition_function,
     measure_correlation_decay,
     sample_matching,
-    sample_matching_exact,
     sample_matching_recursive,
     stream,
 )
@@ -286,22 +285,6 @@ def test_chain_distribution_on_triangle():
     assert tv_distance(counts, exact_distribution(model)) <= 0.03
 
 
-def test_exact_sampler_distribution():
-    model = HardCoreModel(path_graph(3), [1.0] * 3)
-    rng = stream(12, "exact-tv")
-    counts: dict[frozenset, int] = {}
-    for _ in range(10000):
-        m = sample_matching_exact(model, rng=rng)
-        counts[m] = counts.get(m, 0) + 1
-    assert tv_distance(counts, exact_distribution(model)) <= 0.025
-
-
-def test_exact_sampler_cap():
-    g = path_graph(21)
-    with pytest.raises(CapacityError):
-        sample_matching_exact(HardCoreModel(g, [1.0] * g.m), rng=stream(0, "x"))
-
-
 def test_recursive_sampler_distribution():
     g = cycle_graph(6)
     acts = random_activities(g, 5, lo=0.5, hi=3.0)
@@ -505,6 +488,22 @@ def test_decay_bounded_and_deterministic():
     b = measure_correlation_decay(model, 4, 2, 30, rng=stream(2, "d"))
     assert a == b
     assert 0.0 <= a <= 1.0
+
+
+def test_decay_is_exact_up_to_the_exact_cap(monkeypatch):
+    """Conditionings come from exact DAG walks at every size the exact base
+    marginal allows (here 30 edges), never from the chain."""
+    import matchcolor.hardcore as hardcore
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("correlation decay ran the chain sampler")
+
+    monkeypatch.setattr(hardcore, "sample_matching", no_chain)
+    model = HardCoreModel(path_graph(30), [1.0] * 30)
+    a = measure_correlation_decay(model, 15, 3, 40, rng=stream(3, "d"))
+    b = measure_correlation_decay(model, 15, 3, 40, rng=stream(3, "d"))
+    assert a == b
+    assert 0.0 < a <= 1.0
 
 
 def test_decay_validates_arguments():

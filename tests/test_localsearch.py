@@ -10,7 +10,6 @@ from matchcolor import (
     check_commutativity,
     check_lll_condition,
     estimate_charges_exact,
-    run_local_search,
     stream,
     verify_lopsidependency,
 )
@@ -70,12 +69,20 @@ def test_driver_cap_boundary_succeeds():
     assert trace.final_state == 4
 
 
-def test_run_local_search_uses_first_present_flaw():
-    specs = [
-        FlawSpec(name="a", detect=lambda s: s < 2, address=lambda s, rng: s + 1),
-        FlawSpec(name="b", detect=lambda s: s < 4, address=lambda s, rng: s + 2),
+def test_run_with_selector_addresses_first_present_flaw():
+    # A selector scanning a fixed priority list, as both pipelines' do.
+    priority = [
+        ("a", lambda s: s < 2, lambda s, rng: s + 1),
+        ("b", lambda s: s < 4, lambda s, rng: s + 2),
     ]
-    trace = run_local_search(0, specs, stream(0, "b"))
+
+    def select(state: int) -> Flaw | None:
+        for name, detect, address in priority:
+            if detect(state):
+                return Flaw(kind=name, key=name, footprint=frozenset(), address=address)
+        return None
+
+    trace = run_with_selector(0, select, stream(0, "b"))
     assert trace.flawless
     # a fires at 0 and 1, b finishes from 2 to 4.
     assert [rec.key for rec in trace.addressed] == ["a", "a", "b"]
