@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands: chi-star, color, list-color, calibrate, sample, verify
-(chi-e | dist), bench.  JSON output is emitted with sorted keys so equal
-inputs and seeds give byte-equal output; the bench CSV's wall-clock column
-is the one deliberately non-reproducible field.
+(chi-e | dist).  JSON output is emitted with sorted keys so equal inputs and
+seeds give byte-equal output.  Timing lives in ``bench/run.py``, not here.
 
 Exit codes: 0 success, 1 computation failed or verification rejected,
 2 malformed invocation or input.
@@ -12,10 +11,8 @@ Exit codes: 0 success, 1 computation failed or verification rejected,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,8 +32,8 @@ from .hardcore import (
     ChainConfig,
     HardCoreModel,
     calibrate_activities,
+    draw_matching,
     sample_matching,
-    sample_matching_recursive,
 )
 from .listcolor import ListConfig, list_edge_color
 from .oracle import brute_force_chromatic_index, exact_distribution, tv_distance
@@ -180,13 +177,8 @@ def _cmd_sample(args) -> int:
     graph = _read_graph(args.graph)
     model = HardCoreModel(graph, _activities_for(graph, args))
     rng = stream(args.seed, "cli", "sample")
-    out = []
-    for _ in range(args.count):
-        if args.exact:
-            m = sample_matching_recursive(model, rng)
-        else:
-            m = sample_matching(model, ChainConfig(steps=args.chain_steps), rng=rng)
-        out.append(sorted(m))
+    sampler = "exact" if args.exact else "chain"
+    out = [sorted(draw_matching(model, sampler, args.chain_steps, rng)) for _ in range(args.count)]
     _emit({"matchings": out})
     return 0
 
@@ -229,58 +221,6 @@ def _cmd_verify_dist(args) -> int:
     return 0 if tv <= args.tol else FAILURE
 
 
-def _cmd_bench(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
-    rows = []
-    for path in args.graphs:
-        graph = _read_graph(path)
-        for seed in seeds:
-            cfg = GsConfig(
-                epsilon=args.epsilon,
-                master_seed=seed,
-                chi0_override=args.chi0,
-                t_override=args.radius,
-                sampler=args.sampler,
-                chain_steps=args.chain_steps,
-                retries=args.retries,
-                step_cap=args.step_cap,
-            )
-            start = time.perf_counter()
-            coloring, stats = color_multigraph(graph, cfg)
-            wall = time.perf_counter() - start
-            rows.append(
-                {
-                    "graph": path,
-                    "seed": seed,
-                    "steps": sum(r["steps"] for r in stats["rounds"]),
-                    "colors": stats["colors_used"],
-                    "ratio": f"{stats['ratio']:.6f}",
-                    "wall_seconds": f"{wall:.6f}",
-                }
-            )
-    fields = ["graph", "seed", "steps", "colors", "ratio", "wall_seconds"]
-    handle = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(handle, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            handle.close()
-    return 0
-
-
-def _add_gs_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chi0", type=int, default=None, help="greedy threshold override")
-    p.add_argument("--radius", type=int, default=None, help="resample radius override")
-    p.add_argument("--sampler", choices=["auto", "exact", "chain"], default="auto")
-    p.add_argument("--chain-steps", type=int, default=None)
-    p.add_argument("--retries", type=int, default=3)
-    p.add_argument("--step-cap", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchcolor",
@@ -295,7 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="edge-color a multigraph")
     p.add_argument("graph")
-    _add_gs_flags(p)
+    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--chi0", type=int, default=None, help="greedy threshold override")
+    p.add_argument("--radius", type=int, default=None, help="resample radius override")
+    p.add_argument("--sampler", choices=["auto", "exact", "chain"], default="auto")
+    p.add_argument("--chain-steps", type=int, default=None)
+    p.add_argument("--retries", type=int, default=3)
+    p.add_argument("--step-cap", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_color)
 
@@ -359,19 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol", type=float, default=0.05)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=_cmd_verify_dist)
-
-    p = sub.add_parser("bench", help="time the pipeline across seeds; CSV output")
-    p.add_argument("graphs", nargs="+")
-    p.add_argument("--seeds", default="0", help="comma separated")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--chi0", type=int, default=None)
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--sampler", choices=["auto", "exact", "chain"], default="auto")
-    p.add_argument("--chain-steps", type=int, default=None)
-    p.add_argument("--retries", type=int, default=3)
-    p.add_argument("--step-cap", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -37,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,12 +57,17 @@ from .hardcore import (
     calibrate_activities,
     draw_matching,
     exact_cap_for,
-    log_partition_function,
 )
 from .localsearch import Flaw, FlawSpec, RunTrace, run_with_selector
+from .oracle import exact_distribution
 from .rng import stream
 
 RoundState = tuple[frozenset[int], ...]
+
+# Iteration cap of every pipeline calibration, eight times
+# calibrate_activities' default: near-critical targets can take hundreds of
+# IPF iterations, and a stalled fit is an error, not a slow answer.
+CALIBRATION_MAX_ITERS = 4000
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,9 @@ class GsConfig:
     defaults to max(64, ceil((4/eps)^4)); instances below it go straight to
     the greedy pass.  ``sampler`` picks the matching sampler: "exact"
     (partition-function walk), "chain" (Metropolis), or "auto" (exact when
-    the collapsed view is small).  ``calibration_tol`` overrides the marginal
-    tolerance used when planning rounds; the local search absorbs small
-    calibration slack, so round planning can run looser than the default.
+    the collapsed view is small).  Round planning calibrates at
+    ``calibrate_activities``' default tolerance, sample count and
+    ``CALIBRATION_MAX_ITERS`` iterations.
     """
 
     epsilon: float = 0.1
@@ -87,15 +92,10 @@ class GsConfig:
     chain_steps: int | None = None
     retries: int = 3
     step_cap: int | None = None
-    calibration_samples: int = 400
-    calibration_max_iters: int = 4000
-    calibration_tol: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.5:
             raise ValueError(f"epsilon must lie in (0, 0.5], got {self.epsilon}")
-        if self.calibration_tol is not None and not 0.0 < self.calibration_tol < 1.0:
-            raise ValueError("calibration_tol must lie in (0, 1)")
         if self.sampler not in ("auto", "exact", "chain"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.retries < 1:
@@ -189,10 +189,8 @@ def plan_round(
     calib = calibrate_activities(
         graph,
         target,
-        tol=cfg.calibration_tol,
-        max_iters=cfg.calibration_max_iters,
+        max_iters=CALIBRATION_MAX_ITERS,
         chain=ChainConfig(steps=cfg.chain_steps),
-        samples=cfg.calibration_samples,
         exact_cap=exact_cap_for(cfg.sampler),
         rng=rng,
         initial=warm,
@@ -475,27 +473,14 @@ def color_multigraph(graph: Multigraph, cfg: GsConfig | None = None) -> tuple[di
 # Exact verification artifacts (small instances)
 
 
-def _enumerate_matchings_with_probs(
-    graph: Multigraph, activities: Mapping[int, float]
-) -> list[tuple[frozenset[int], float]]:
-    from .oracle import enumerate_matchings
-
-    model = HardCoreModel(graph, [activities[e] for e in range(graph.m)]) if graph.m else None
-    log_z = log_partition_function(model) if model else 0.0
-    out = []
-    for matching in enumerate_matchings(graph):
-        logw = sum(math.log(activities[e]) for e in matching)
-        out.append((frozenset(matching), math.exp(logw - log_z)))
-    return out
-
-
 def resample_kernel(
     graph: Multigraph, params: RoundParams, core: Iterable[int]
 ) -> Callable[[RoundState], dict[RoundState, float]]:
     """Exact transition kernel of the repair action for the given core.
 
-    Enumerates, per slot, the hard-core law on that slot's free region and
-    takes the product across slots.  Intended for small instances.
+    Enumerates, per slot, the hard-core law on that slot's free region
+    (``oracle.exact_distribution``) and takes the product across slots.
+    Intended for small instances.
     """
     inner, outer, _ = _repair_balls(graph, core, params.radius)
 
@@ -510,12 +495,15 @@ def resample_kernel(
             )
             region = outer - matched_vertices(graph, frozen)
             sub = induced_subgraph(graph, region)
-            acts = {j: params.activities[h] for j, h in enumerate(sub.edge_ids)}
-            options = []
-            for local, p in _enumerate_matchings_with_probs(sub.graph, acts):
-                lifted = frozen | frozenset(sub.edge_ids[j] for j in local)
-                options.append((lifted, p))
-            per_slot.append(options)
+            law = exact_distribution(
+                HardCoreModel(sub.graph, [params.activities[h] for h in sub.edge_ids])
+            )
+            per_slot.append(
+                [
+                    (frozen | frozenset(sub.edge_ids[j] for j in local), p)
+                    for local, p in law.as_dict().items()
+                ]
+            )
         out: dict[RoundState, float] = {}
         for combo in itertools.product(*per_slot):
             nxt = tuple(m for m, _ in combo)
@@ -532,9 +520,9 @@ def round_measure(
     """The product hard-core measure over tuples of N matchings."""
     if graph.m > cap:
         raise CapacityError(f"round measure enumeration capped at {cap} edges")
-    singles = _enumerate_matchings_with_probs(graph, params.activities)
+    law = exact_distribution(HardCoreModel(graph, params.activities))
     out: dict[RoundState, float] = {}
-    for combo in itertools.product(singles, repeat=params.n_matchings):
+    for combo in itertools.product(law.as_dict().items(), repeat=params.n_matchings):
         state = tuple(m for m, _ in combo)
         out[state] = out.get(state, 0.0) + math.prod(p for _, p in combo)
     return out

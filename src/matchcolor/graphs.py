@@ -2,8 +2,8 @@
 
 Vertices are ``0..n-1``.  Edges carry dense integer ids ``0..m-1`` in input
 order; parallel edges are distinct ids with the same endpoint pair.  Loops are
-rejected.  Graphs are immutable once built: deletion and restriction return
-new graphs together with (implicit or explicit) id maps.
+rejected.  Graphs are immutable once built: restriction and induction return
+new graphs together with their edge id maps.
 
 Edge-list text format::
 
@@ -56,9 +56,6 @@ class Multigraph:
 
     def max_degree(self) -> int:
         return max((len(ids) for ids in self.incidence), default=0)
-
-    def edge(self, eid: int) -> tuple[int, int]:
-        return self.endpoints[eid]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Multigraph(n={self.n}, m={self.m})"
@@ -223,19 +220,6 @@ def matched_vertices(graph: Multigraph, edge_ids: Iterable[int]) -> set[int]:
         verts.add(u)
         verts.add(v)
     return verts
-
-
-def delete_matchings(graph: Multigraph, matchings: Sequence[Iterable[int]]) -> Multigraph:
-    """Remove the union of the given matchings; vertex set unchanged.
-
-    Surviving edges keep their relative order, so the new id of an old edge is
-    its rank among survivors.
-    """
-    union: set[int] = set()
-    for k, matching in enumerate(matchings):
-        union |= require_matching(graph, matching, label=f"matching {k}")
-    survivors = [graph.endpoints[eid] for eid in range(graph.m) if eid not in union]
-    return Multigraph(graph.n, survivors)
 
 
 @dataclass(frozen=True)

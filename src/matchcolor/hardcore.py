@@ -452,23 +452,19 @@ def conditional_marginal(
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Metropolis chain parameters.
+    """Metropolis chain parameters: the number of steps.
 
     ``steps=None`` uses the budget 10 * m^2 * ceil(max(lambda', 1)) on the
     collapsed graph with m simple edges and maximum bundle activity lambda'.
+    The move mix is fixed (see ``sample_matching``), and callers that pass no
+    generator draw from ``stream(0, ...)``.
     """
 
     steps: int | None = None
-    seed: int = 0
-    moves: tuple[float, float, float] = (0.4, 0.4, 0.2)
 
     def __post_init__(self):
         if self.steps is not None and self.steps < 0:
             raise ValueError("steps must be non-negative")
-        if len(self.moves) != 3 or any(p <= 0 for p in self.moves):
-            raise ValueError("moves must be three positive probabilities")
-        if abs(sum(self.moves) - 1.0) > 1e-9:
-            raise ValueError("move probabilities must sum to 1")
 
 
 def default_steps(model: HardCoreModel) -> int:
@@ -476,44 +472,44 @@ def default_steps(model: HardCoreModel) -> int:
     return 10 * collapse.m * collapse.m * max(1, math.ceil(max(collapse.max_lam, 1.0)))
 
 
+def _lift_bundle(model: HardCoreModel, collapse: _Collapse, s: int, rng) -> int:
+    """Thin a chosen bundle to one of its host edges, by activity weight."""
+    members = collapse.members[s]
+    if len(members) == 1:
+        return members[0]
+    sub = rng.random() * collapse.lam[s]
+    acc = 0.0
+    host = members[-1]
+    for eid in members:
+        acc += model.activities[eid]
+        if sub < acc:
+            host = eid
+            break
+    return host
+
+
 def sample_matching(
     model: HardCoreModel,
     cfg: ChainConfig | None = None,
     rng: np.random.Generator | None = None,
-    initial: Iterable[int] | None = None,
 ) -> frozenset[int]:
     """Approximate sample from the model via the Metropolis chain.
 
-    The chain runs on the collapsed simple graph and the result is lifted to
-    host edge ids.  ``initial`` (host edge ids) seeds the chain state.
+    The chain starts from the empty matching on the collapsed simple graph
+    and proposes insert, delete and slide moves with probabilities 0.4, 0.4
+    and 0.2; the result is lifted to host edge ids.
     """
     cfg = cfg or ChainConfig()
     if rng is None:
-        rng = stream(cfg.seed, "chain")
+        rng = stream(0, "chain")
     collapse = model.collapse()
     ms = collapse.m
     if ms == 0:
         return frozenset()
     steps = cfg.steps if cfg.steps is not None else default_steps(model)
 
-    pair_index = {pair: i for i, pair in enumerate(collapse.pairs)}
     in_m = [False] * ms
     partner = [-1] * collapse.n
-    if initial is not None:
-        host = require_matching(model.graph, initial, label="initial")
-        for eid in host:
-            a, b = model.graph.endpoints[eid]
-            key = (a, b) if a < b else (b, a)
-            s = pair_index[key]
-            in_m[s] = True
-            partner[a] = s
-            partner[b] = s
-
-    p_ins, p_del, _ = cfg.moves
-    c1 = p_ins
-    c2 = p_ins + p_del
-    ratio_ins = p_del / p_ins
-    ratio_del = p_ins / p_del
     lam = collapse.lam
     pairs = collapse.pairs
 
@@ -529,16 +525,16 @@ def sample_matching(
             e = int(picks[j])
             u, v = pairs[e]
             r = move_r[j]
-            if r < c1:  # insert
+            if r < 0.4:  # insert
                 if not in_m[e] and partner[u] < 0 and partner[v] < 0:
-                    a = lam[e] * ratio_ins
+                    a = lam[e]
                     if a >= 1.0 or accept_r[j] < a:
                         in_m[e] = True
                         partner[u] = e
                         partner[v] = e
-            elif r < c2:  # delete
+            elif r < 0.8:  # delete
                 if in_m[e]:
-                    a = ratio_del / lam[e]
+                    a = 1.0 / lam[e]
                     if a >= 1.0 or accept_r[j] < a:
                         in_m[e] = False
                         partner[u] = -1
@@ -558,42 +554,7 @@ def sample_matching(
                             partner[u] = e
                             partner[v] = e
 
-    chosen: list[int] = []
-    for e in range(ms):
-        if not in_m[e]:
-            continue
-        members = collapse.members[e]
-        if len(members) == 1:
-            chosen.append(members[0])
-            continue
-        weights = [model.activities[eid] for eid in members]
-        total = sum(weights)
-        pick = rng.random() * total
-        acc = 0.0
-        for eid, w in zip(members, weights):
-            acc += w
-            if pick < acc:
-                chosen.append(eid)
-                break
-        else:
-            chosen.append(members[-1])
-    return frozenset(chosen)
-
-
-def _lift_bundle(model: HardCoreModel, collapse: _Collapse, s: int, rng) -> int:
-    """Thin a chosen bundle to one of its host edges, by activity weight."""
-    members = collapse.members[s]
-    if len(members) == 1:
-        return members[0]
-    sub = rng.random() * collapse.lam[s]
-    acc = 0.0
-    host = members[-1]
-    for eid in members:
-        acc += model.activities[eid]
-        if sub < acc:
-            host = eid
-            break
-    return host
+    return frozenset(_lift_bundle(model, collapse, e, rng) for e in range(ms) if in_m[e])
 
 
 def sample_matching_recursive(
@@ -673,7 +634,7 @@ def estimate_marginals(
     if samples <= 0:
         raise ValueError("samples must be positive")
     if rng is None:
-        rng = stream(cfg.seed, "estimate")
+        rng = stream(0, "estimate")
     counts = [0] * model.graph.m
     for _ in range(samples):
         for eid in sample_matching(model, cfg, rng=rng):
@@ -772,7 +733,7 @@ def calibrate_activities(
         tol = 1e-6 if exact else 1e-2
     chain = chain or ChainConfig()
     if not exact and rng is None:
-        rng = stream(chain.seed, "calibrate")
+        rng = stream(0, "calibrate")
 
     # ``cls`` maps each host edge to its activity class and ``rep`` each
     # class to its first member; on the chain path every edge is a class.

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .colorer import greedy_edge_coloring, repair_radius, resample_matching
+from .colorer import CALIBRATION_MAX_ITERS, greedy_edge_coloring, repair_radius, resample_matching
 from .errors import GreedyBlockedError, InfeasibleTargetError
 from .fractional import chi_star
 from .graphs import Multigraph, matched_vertices, nested_balls, restrict_edges
@@ -57,6 +57,11 @@ log = logging.getLogger(__name__)
 
 ListMap = Mapping[int, Sequence[int]]
 
+# Chain runs per chain-estimated color marginal, and the slack the drift
+# bound gives up when any marginal of a probe is chain-estimated.
+MARGINAL_SAMPLES = 100
+ESTIMATION_BUDGET = 0.05
+
 
 @dataclass(frozen=True)
 class ListConfig:
@@ -67,10 +72,11 @@ class ListConfig:
     live edge whose post-removal marginal sum falls below it, which keeps
     every uncolored edge holding usable colors; ``vertex_threshold`` is the
     minimum claimed fraction per vertex and iteration (None means alpha/4, 0
-    disables).  ``estimation_budget`` loosens the drift bound when marginals
-    are chain-estimated rather than exact.  ``list_floor`` stops iterating
-    once some uncolored edge's remaining list shrinks to that size, leaving
-    the rest to the greedy pass while its lists still beat its degrees.
+    disables).  ``list_floor`` stops iterating once some uncolored edge's
+    remaining list shrinks to that size, leaving the rest to the greedy pass
+    while its lists still beat its degrees.  Calibration and chain-estimated
+    marginals run at fixed settings: ``CALIBRATION_MAX_ITERS``,
+    ``MARGINAL_SAMPLES`` and ``ESTIMATION_BUDGET``.
     """
 
     epsilon: float = 0.1
@@ -84,10 +90,6 @@ class ListConfig:
     edge_threshold: float | None = 0.25
     mass_floor: float = 0.0
     vertex_threshold: float | None = None
-    estimation_budget: float = 0.05
-    marginal_samples: int = 100
-    calibration_samples: int = 400
-    calibration_max_iters: int = 4000
     list_floor: int = 0
     audit_locality: bool = False
 
@@ -207,7 +209,7 @@ def _color_marginals(
         local = exact_marginals(model, cap=cap)
         return {h: local[j] for j, h in enumerate(kept)}, False
     local = estimate_marginals(
-        model, ChainConfig(steps=cfg.chain_steps), cfg.marginal_samples, rng=rng
+        model, ChainConfig(steps=cfg.chain_steps), MARGINAL_SAMPLES, rng=rng
     )
     return {h: local[j] for j, h in enumerate(kept)}, True
 
@@ -255,9 +257,8 @@ def init_iteration(
                 calib = calibrate_activities(
                     sub,
                     targets,
-                    max_iters=cfg.calibration_max_iters,
+                    max_iters=CALIBRATION_MAX_ITERS,
                     chain=ChainConfig(steps=cfg.chain_steps),
-                    samples=cfg.calibration_samples,
                     exact_cap=exact_cap_for(cfg.sampler),
                     rng=stream(cfg.master_seed, "iter", iteration, "calibrate", c),
                 )
@@ -474,7 +475,7 @@ def make_iteration_selector(ctx: IterationContext):
                 cfg.master_seed, "iter", ctx.iteration, "probe", probe_counter[0]
             )
             sigma, estimated = _sigma_post(ctx, gprime, rng)
-            budget = cfg.estimation_budget if estimated else 0.0
+            budget = ESTIMATION_BUDGET if estimated else 0.0
             live = set()
             for edges in gprime.values():
                 live.update(edges)

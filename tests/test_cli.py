@@ -5,7 +5,7 @@ import json
 import pytest
 
 from matchcolor.cli import main
-from matchcolor.graphs import dump_multigraph, load_multigraph, validate_coloring
+from matchcolor.graphs import dump_multigraph, is_matching, load_multigraph, validate_coloring
 
 from support import cycle_graph, path_graph, shannon, star_multigraph
 
@@ -153,6 +153,20 @@ def test_sample_exact_deterministic(tmp_path, capsys):
         assert set(m) <= {0, 1, 2}
 
 
+def test_sample_exact_beyond_the_auto_cap(tmp_path, capsys):
+    """``--exact`` is exact at any size, like ``sampler="exact"`` in the
+    pipelines: a 70-edge path exceeds the 64-edge cap of "auto"."""
+    g = path_graph(70)
+    path = write_graph(tmp_path, g)
+    code, out, err = run(capsys, ["sample", path, "--exact", "--count", "3"])
+    assert code == 0, err
+    matchings = json.loads(out)["matchings"]
+    assert len(matchings) == 3
+    for m in matchings:
+        assert m == sorted(m)
+        assert is_matching(g, m)
+
+
 def test_sample_chain(tmp_path, capsys):
     path = write_graph(tmp_path, path_graph(1))
     code, out, _ = run(capsys, ["sample", path, "--count", "2"])
@@ -250,22 +264,6 @@ def test_verify_dist_detects_undersampling(tmp_path, capsys):
         capsys, ["verify", "dist", path, "--samples", "50", "--tol", "0.001"]
     )
     assert code == 1
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def test_bench_csv(tmp_path, capsys):
-    path = write_graph(tmp_path, shannon(2))
-    out_path = tmp_path / "bench.csv"
-    code = main(["bench", path, "--seeds", "0,1", "--out", str(out_path)])
-    capsys.readouterr()
-    assert code == 0
-    lines = out_path.read_text().strip().splitlines()
-    assert lines[0] == "graph,seed,steps,colors,ratio,wall_seconds"
-    assert len(lines) == 3
-    assert lines[1].startswith(f"{path},0,0,6,")
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ def test_config_defaults_and_chi0():
         {"retries": 0},
         {"chi0_override": 0},
         {"t_override": 0},
-        {"calibration_tol": 0.0},
     ],
 )
 def test_config_validation(kwargs):

@@ -8,7 +8,6 @@ from matchcolor import Multigraph, dump_multigraph, load_multigraph, validate_co
 from matchcolor.errors import ParseError
 from matchcolor.graphs import (
     ball_subgraph,
-    delete_matchings,
     distances_from,
     induced_subgraph,
     is_matching,
@@ -175,13 +174,6 @@ def test_require_matching_message():
 def test_matched_vertices():
     g = path_graph(4)
     assert matched_vertices(g, [0, 2]) == {0, 1, 2, 3}
-
-
-def test_delete_matchings_degrees():
-    g = cycle_graph(6)
-    resid = delete_matchings(g, [[0, 2, 4], [1, 5]])
-    assert resid.m == 1
-    assert resid.n == g.n
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,18 @@ def test_chain_distribution_on_triangle():
     assert tv_distance(counts, exact_distribution(model)) <= 0.03
 
 
+def test_chain_distribution_lifts_parallel_bundles():
+    # A bundle of three unequal parallel edges next to a single edge: the
+    # chain's draws, thinned to host edges, follow the multigraph's law.
+    model = HardCoreModel(Multigraph(3, [(0, 1)] * 3 + [(1, 2)]), [0.2, 1.0, 2.5, 0.7])
+    rng = stream(12, "chain-lift")
+    counts: dict[frozenset, int] = {}
+    for _ in range(4000):
+        m = sample_matching(model, rng=rng)
+        counts[m] = counts.get(m, 0) + 1
+    assert tv_distance(counts, exact_distribution(model)) <= 0.03
+
+
 def test_recursive_sampler_distribution():
     g = cycle_graph(6)
     acts = random_activities(g, 5, lo=0.5, hi=3.0)

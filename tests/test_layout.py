@@ -24,3 +24,25 @@ def test_no_module_imports_a_private_name_of_another():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in it; ``__init__`` re-exports are exempt."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [
+            f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used
+        ]
+    assert offenders == []
