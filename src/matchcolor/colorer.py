@@ -19,16 +19,17 @@ Resampling a matching M around a core H at radius t keeps the sub-matching
 with both endpoints at distance >= t from H, then redraws the rest from the
 hard-core law on the graph induced on the distance-(<= t) ball minus the kept
 endpoints.  One distance map from the core gives both balls and the flaw's
-footprint.  A round builds one hard-core model and shares it across its
-attempts, initial draws and repairs; every draw goes through
-``hardcore.draw_matching``, which walks that model's compiled
-partition-function DAG from the free region's node, so no subgraph or
-submodel is built per repair (only the chain sampler, above the exact cap,
-runs on an induced submodel).  ``repair_radius`` plans t for both this
-pipeline and the list pipeline.  Exact action kernels and the product
-measure over matching tuples are exposed for small instances so search
-convergence certificates (charges, commutation, lopsidependency) can be
-evaluated against the same code paths.
+footprint.  A round draws from the model its calibration returned
+(``RoundParams.model``), so a round compiles one partition-function DAG,
+the calibration's, and shares it across its attempts, initial draws and
+repairs.  Every draw goes through ``hardcore.draw_matching``, which walks
+that DAG from the free region's node, so no subgraph or submodel is built
+per repair (only the chain sampler, above the exact cap, runs on an induced
+submodel).  ``repair_radius`` plans t for both this pipeline and the list
+pipeline.  Exact action kernels and the product measure over matching
+tuples are exposed for small instances so search convergence certificates
+(charges, commutation, lopsidependency) can be evaluated against the same
+code paths.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, LocalSearchError, RoundError
+from .errors import CapacityError, GreedyBlockedError, LocalSearchError, RoundError
 from .fractional import chi_star, find_violated_matching_constraint
 from .graphs import (
     Multigraph,
@@ -114,7 +115,11 @@ class GsConfig:
 
 @dataclass(frozen=True)
 class RoundParams:
-    """Derived quantities for one matching-removal round."""
+    """Derived quantities for one matching-removal round.
+
+    ``model`` is the calibration's hard-core model of the round's graph,
+    compiled DAG included: every draw of the round comes from it.
+    """
 
     chi_star: Fraction
     n_matchings: int
@@ -123,7 +128,7 @@ class RoundParams:
     radius: int
     k_hat: float
     vertex_cap: int
-    activities: dict[int, float]
+    model: HardCoreModel
 
     @property
     def degree_threshold(self) -> Fraction:
@@ -209,7 +214,7 @@ def plan_round(
         radius=repair_radius(graph, calib.k_hat, cfg.epsilon, cfg.t_override),
         k_hat=calib.k_hat,
         vertex_cap=vertex_cap,
-        activities=dict(calib.activities),
+        model=calib.model,
     )
 
 
@@ -218,7 +223,6 @@ def plan_round(
 
 
 def initial_state(
-    model: HardCoreModel,
     params: RoundParams,
     cfg: GsConfig,
     round_index: int = 0,
@@ -229,7 +233,7 @@ def initial_state(
     out = []
     for i in range(params.n_matchings):
         rng = stream(cfg.master_seed, "round", round_index, "attempt", attempt, "init", i)
-        out.append(draw_matching(model, cfg.sampler, cfg.chain_steps, rng))
+        out.append(draw_matching(params.model, cfg.sampler, cfg.chain_steps, rng))
     return tuple(out)
 
 
@@ -295,12 +299,11 @@ def _make_address(
     return address
 
 
-def make_selector(
-    model: HardCoreModel, params: RoundParams, cfg: GsConfig
-) -> Callable[[RoundState], Flaw | None]:
+def make_selector(params: RoundParams, cfg: GsConfig) -> Callable[[RoundState], Flaw | None]:
     """Highest-priority present flaw: vertices in id order, then the first
     violating odd set reported by the constraint oracle.  Repairs redraw
-    from ``model``, the round's hard-core model."""
+    from the round's hard-core model."""
+    model = params.model
     graph = model.graph
     thr = params.degree_threshold
 
@@ -339,13 +342,10 @@ def run_round(
     error from the search propagates unchanged.  ``color_multigraph``
     certifies the residual level when it measures the next round's chi*.
     """
-    # One model, and so one compiled DAG, serves every draw of the round:
-    # each attempt's initial matchings and every repair's regional redraw.
-    model = HardCoreModel(graph, params.activities)
-    select = make_selector(model, params, cfg)
+    select = make_selector(params, cfg)
     last_trace: RunTrace | None = None
     for attempt in range(cfg.retries):
-        state = initial_state(model, params, cfg, round_index, attempt)
+        state = initial_state(params, cfg, round_index, attempt)
         rng = stream(cfg.master_seed, "round", round_index, "attempt", attempt, "search")
         try:
             trace = run_with_selector(state, select, rng, step_cap=cfg.step_cap)
@@ -372,8 +372,6 @@ def greedy_edge_coloring(
     upward.  With lists, each edge takes the smallest free color from its own
     list; a list exhausted by blocked colors raises a greedy failure.
     """
-    from .errors import GreedyBlockedError
-
     used_at: list[set[int]] = [set() for _ in range(graph.n)]
     out: dict[int, int] = {}
     for eid, (u, v) in enumerate(graph.endpoints):
@@ -441,7 +439,7 @@ def color_multigraph(graph: Multigraph, cfg: GsConfig | None = None) -> tuple[di
             union |= matching
         survivors = [eid for eid in range(current.m) if eid not in union]
         current, _ = restrict_edges(current, survivors)
-        warm = {new: params.activities[old] for new, old in enumerate(survivors)}
+        warm = {new: params.model.activities[old] for new, old in enumerate(survivors)}
         cur_to_orig = [cur_to_orig[eid] for eid in survivors]
         rounds.append(
             {
@@ -483,6 +481,7 @@ def resample_kernel(
     Intended for small instances.
     """
     inner, outer, _ = _repair_balls(graph, core, params.radius)
+    activities = params.model.activities
 
     def kernel(state: RoundState) -> dict[RoundState, float]:
         per_slot: list[list[tuple[frozenset[int], float]]] = []
@@ -496,7 +495,7 @@ def resample_kernel(
             region = outer - matched_vertices(graph, frozen)
             sub = induced_subgraph(graph, region)
             law = exact_distribution(
-                HardCoreModel(sub.graph, [params.activities[h] for h in sub.edge_ids])
+                HardCoreModel(sub.graph, [activities[h] for h in sub.edge_ids])
             )
             per_slot.append(
                 [
@@ -520,7 +519,7 @@ def round_measure(
     """The product hard-core measure over tuples of N matchings."""
     if graph.m > cap:
         raise CapacityError(f"round measure enumeration capped at {cap} edges")
-    law = exact_distribution(HardCoreModel(graph, params.activities))
+    law = exact_distribution(params.model)
     out: dict[RoundState, float] = {}
     for combo in itertools.product(law.as_dict().items(), repeat=params.n_matchings):
         state = tuple(m for m, _ in combo)
@@ -557,7 +556,6 @@ def round_flaw_specs(
     one spec per vertex, then one per connected odd set within the cap."""
     cfg = cfg or GsConfig()
     thr = params.degree_threshold
-    model = HardCoreModel(graph, params.activities)
     specs: list[FlawSpec] = []
 
     def vertex_detect(v: int) -> Callable[[RoundState], bool]:
@@ -585,7 +583,7 @@ def round_flaw_specs(
         return FlawSpec(
             name=name,
             detect=detect,
-            address=_make_address(model, cfg, inner, outer),
+            address=_make_address(params.model, cfg, inner, outer),
             footprint=footprint,
             kernel=resample_kernel(graph, params, core),
         )

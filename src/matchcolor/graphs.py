@@ -203,16 +203,6 @@ def is_matching(graph: Multigraph, edge_ids: Iterable[int]) -> bool:
     return True
 
 
-def require_matching(graph: Multigraph, edge_ids: Iterable[int], label: str = "edge set") -> frozenset[int]:
-    ids = frozenset(edge_ids)
-    for eid in ids:
-        if not (0 <= eid < graph.m):
-            raise ValueError(f"{label}: edge id {eid} not in graph")
-    if not is_matching(graph, ids):
-        raise ValueError(f"{label}: not a matching of the host graph")
-    return ids
-
-
 def matched_vertices(graph: Multigraph, edge_ids: Iterable[int]) -> set[int]:
     verts: set[int] = set()
     for eid in edge_ids:

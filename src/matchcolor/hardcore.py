@@ -1,13 +1,14 @@
 """Hard-core distributions on matchings.
 
 A model is a multigraph plus a positive activity per edge; it induces
-nu(M) proportional to the product of activities over M.  Parallel edges
-collapse into one simple edge whose activity is the bundle sum: the collapsed
-partition function equals the multigraph one, and a sampled simple edge lifts
-to a member of its bundle with probability proportional to the member
-activity.
+nu(M) proportional to the product of activities over M.  The model holds
+its collapsed view: parallel edges form one simple edge whose activity is
+the bundle sum.  The collapsed partition function equals the multigraph
+one, and a sampled simple edge lifts to a member of its bundle with
+probability proportional to the member activity.
 
-Exact work runs on one compiled DAG per collapsed graph.  It records the
+Exact work runs on the one DAG a model compiles over its collapsed graph
+(``HardCoreModel.dag``; nothing else builds one).  It records the
 deletion-contraction recursion, grouped per minimum-degree pivot v,
 
     Z(G) = Z(G - v) + sum_{e = vu} lambda(e) * Z(G - v - u),
@@ -17,11 +18,15 @@ values in log domain filled in as nodes are created.  For new activities, a
 forward sweep re-evaluates every node; a reverse sweep then gives every
 bundle marginal d log Z / d log lambda at once; and an exact draw walks the
 DAG from its root, or from the node of a vertex region for the law induced
-there.  Calibration compiles once and sweeps on every iteration, fitting one
-activity per class of parallel edges with a common target and start.
+there.  Calibration compiles its starting model once and sweeps on every
+iteration, fitting one activity per class of parallel edges with a common
+target and start.  It returns the model at the fitted activities, holding
+that DAG, so a pipeline draws from the model it calibrated without a second
+compile.
 
 Approximate sampling is a Metropolis chain over matchings of the collapsed
-graph with insert / delete / slide proposals.
+graph with insert / delete / slide proposals, driven by the generator the
+caller passes.
 
 The sampler policy of both pipelines lives here too: ``exact_cap_for`` maps a
 sampler setting ("auto", "exact" or "chain") to the most collapsed edges it
@@ -33,7 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
@@ -41,14 +46,21 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CalibrationError, CapacityError, InfeasibleTargetError
-from .graphs import Multigraph, distances_from, induced_subgraph, matched_vertices, require_matching
+from .fractional import chi_star
+from .graphs import Multigraph, distances_from, induced_subgraph, matched_vertices
 from .rng import stream
 
 EXACT_CAP = 64  # collapsed simple-edge cap for exact partition functions
 
 
 class HardCoreModel:
-    """A multigraph with one strictly positive, finite activity per edge."""
+    """A multigraph with one strictly positive, finite activity per edge.
+
+    Parallel edges form bundles: ``pairs`` lists the distinct endpoint pairs
+    in sorted order, ``members[s]`` the edge ids of pair s in id order, and
+    ``lam[s]`` their summed activity, the activity of pair s in the collapsed
+    simple graph.
+    """
 
     def __init__(self, graph: Multigraph, activities: Mapping[int, float] | Sequence[float]):
         if isinstance(activities, Mapping):
@@ -64,54 +76,27 @@ class HardCoreModel:
                 raise ValueError(f"activity for edge {eid} must be positive and finite, got {lam}")
         self.graph = graph
         self.activities: tuple[float, ...] = tuple(values)
-        self._collapse: _Collapse | None = None
-        self._dag: _ZDag | None = None
-
-    def collapse(self) -> "_Collapse":
-        if self._collapse is None:
-            self._collapse = _Collapse(self.graph, self.activities)
-        return self._collapse
-
-    def dag(self) -> "_ZDag":
-        """The compiled partition-function DAG, evaluated at these activities."""
-        if self._dag is None:
-            collapse = self.collapse()
-            self._dag = _ZDag(collapse.n, collapse.pairs, collapse.lam)
-        return self._dag
-
-
-class _Collapse:
-    """Simple-graph view: one edge per vertex pair, activity = bundle sum."""
-
-    def __init__(self, graph: Multigraph, activities: Sequence[float]):
         bundles: dict[tuple[int, int], list[int]] = {}
         for eid, (u, v) in enumerate(graph.endpoints):
             key = (u, v) if u < v else (v, u)
             bundles.setdefault(key, []).append(eid)
         self.pairs: list[tuple[int, int]] = sorted(bundles)
         self.members: list[list[int]] = [bundles[p] for p in self.pairs]
-        self.lam: list[float] = self.bundle_sums(activities)
-        self.n = graph.n
-        self.max_lam = max(self.lam, default=0.0)
+        self.lam: list[float] = [sum(values[eid] for eid in mem) for mem in self.members]
+        self._dag: _ZDag | None = None
 
-    @property
-    def m(self) -> int:
-        return len(self.pairs)
+    def dag(self) -> "_ZDag":
+        """The compiled partition-function DAG, evaluated at these activities."""
+        if self._dag is None:
+            self._dag = _ZDag(self.graph.n, self.pairs, self.lam)
+        return self._dag
 
-    def bundle_sums(self, activities: Sequence[float] | Mapping[int, float]) -> list[float]:
-        return [sum(activities[eid] for eid in mem) for mem in self.members]
-
-    def edge_marginals(
-        self,
-        activities: Sequence[float] | Mapping[int, float],
-        lam: Sequence[float],
-        bundle: Sequence[float],
-    ) -> dict[int, float]:
+    def edge_marginals(self, bundle: Sequence[float]) -> dict[int, float]:
         """Split each bundle's marginal over its members in proportion to activity."""
-        out = [0.0] * sum(len(mem) for mem in self.members)
+        out = [0.0] * self.graph.m
         for s, mem in enumerate(self.members):
             for eid in mem:
-                out[eid] = bundle[s] * activities[eid] / lam[s]
+                out[eid] = bundle[s] * self.activities[eid] / self.lam[s]
         return dict(enumerate(out))
 
 
@@ -403,47 +388,16 @@ def _check_cap(count: int, cap: int | None) -> None:
 
 def log_partition_function(model: HardCoreModel, cap: int | None = None) -> float:
     """log Z, where Z sums the activity products of all matchings (incl. empty)."""
-    _check_cap(model.collapse().m, cap)
+    _check_cap(len(model.pairs), cap)
     dag = model.dag()
     return dag.log_z(dag.full)
 
 
 def exact_marginals(model: HardCoreModel, cap: int | None = None) -> dict[int, float]:
     """Pr[e in M] for every edge id, from one reverse sweep of the DAG."""
-    collapse = model.collapse()
-    _check_cap(collapse.m, cap)
+    _check_cap(len(model.pairs), cap)
     dag = model.dag()
-    bundle = dag.bundle_marginals(dag.node(dag.full))
-    return collapse.edge_marginals(model.activities, collapse.lam, bundle)
-
-
-def conditional_marginal(
-    model: HardCoreModel,
-    eid: int,
-    frozen: Iterable[int],
-    ball: Iterable[int],
-    cap: int | None = None,
-) -> float:
-    """Marginal of ``eid`` in the compatibility subgraph induced on
-    ``ball`` minus the endpoints of the frozen matching.
-
-    Returns 0.0 when the edge is blocked (an endpoint saturated or outside the
-    compatibility region).
-    """
-    graph = model.graph
-    frozen_ids = require_matching(graph, frozen, label="frozen")
-    ball_set = set(ball)
-    u, v = graph.endpoints[eid]
-    if u not in ball_set or v not in ball_set:
-        raise ValueError(f"edge {eid} does not lie inside the ball")
-    region = frozenset(ball_set - matched_vertices(graph, frozen_ids))
-    if u not in region or v not in region:
-        return 0.0
-    dag = model.dag()
-    mask = dag.mask_of(region)
-    _check_cap(dag.edges_within(mask), cap)
-    log_num = math.log(model.activities[eid]) + dag.log_z(mask & ~(1 << u | 1 << v))
-    return math.exp(log_num - dag.log_z(mask))
+    return model.edge_marginals(dag.bundle_marginals(dag.node(dag.full)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +410,7 @@ class ChainConfig:
 
     ``steps=None`` uses the budget 10 * m^2 * ceil(max(lambda', 1)) on the
     collapsed graph with m simple edges and maximum bundle activity lambda'.
-    The move mix is fixed (see ``sample_matching``), and callers that pass no
-    generator draw from ``stream(0, ...)``.
+    The move mix is fixed (see ``sample_matching``).
     """
 
     steps: int | None = None
@@ -468,16 +421,16 @@ class ChainConfig:
 
 
 def default_steps(model: HardCoreModel) -> int:
-    collapse = model.collapse()
-    return 10 * collapse.m * collapse.m * max(1, math.ceil(max(collapse.max_lam, 1.0)))
+    m = len(model.pairs)
+    return 10 * m * m * max(1, math.ceil(max(model.lam, default=1.0)))
 
 
-def _lift_bundle(model: HardCoreModel, collapse: _Collapse, s: int, rng) -> int:
+def _lift_bundle(model: HardCoreModel, s: int, rng) -> int:
     """Thin a chosen bundle to one of its host edges, by activity weight."""
-    members = collapse.members[s]
+    members = model.members[s]
     if len(members) == 1:
         return members[0]
-    sub = rng.random() * collapse.lam[s]
+    sub = rng.random() * model.lam[s]
     acc = 0.0
     host = members[-1]
     for eid in members:
@@ -491,7 +444,8 @@ def _lift_bundle(model: HardCoreModel, collapse: _Collapse, s: int, rng) -> int:
 def sample_matching(
     model: HardCoreModel,
     cfg: ChainConfig | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> frozenset[int]:
     """Approximate sample from the model via the Metropolis chain.
 
@@ -500,18 +454,15 @@ def sample_matching(
     and 0.2; the result is lifted to host edge ids.
     """
     cfg = cfg or ChainConfig()
-    if rng is None:
-        rng = stream(0, "chain")
-    collapse = model.collapse()
-    ms = collapse.m
+    ms = len(model.pairs)
     if ms == 0:
         return frozenset()
     steps = cfg.steps if cfg.steps is not None else default_steps(model)
 
     in_m = [False] * ms
-    partner = [-1] * collapse.n
-    lam = collapse.lam
-    pairs = collapse.pairs
+    partner = [-1] * model.graph.n
+    lam = model.lam
+    pairs = model.pairs
 
     done = 0
     batch = 8192
@@ -554,7 +505,7 @@ def sample_matching(
                             partner[u] = e
                             partner[v] = e
 
-    return frozenset(_lift_bundle(model, collapse, e, rng) for e in range(ms) if in_m[e])
+    return frozenset(_lift_bundle(model, e, rng) for e in range(ms) if in_m[e])
 
 
 def sample_matching_recursive(
@@ -574,17 +525,16 @@ def sample_matching_recursive(
     the draw equals that submodel's under the same stream.  Chosen pairs are
     thinned to host edges in proportion to their activities.
     """
-    collapse = model.collapse()
     dag = model.dag()
     if region is None:
-        _check_cap(collapse.m, cap)
+        _check_cap(len(model.pairs), cap)
         root = dag.node(dag.full)
     else:
         mask = dag.mask_of(region)
         _check_cap(dag.edges_within(mask), cap)
         root = dag.node(mask)
     slots = dag.sample(root, rng)
-    return frozenset(_lift_bundle(model, collapse, s, rng) for s in slots)
+    return frozenset(_lift_bundle(model, s, rng) for s in slots)
 
 
 def exact_cap_for(sampler: str) -> int:
@@ -610,7 +560,7 @@ def draw_matching(
     cap = exact_cap_for(sampler)
     if cap >= 0:
         if region is None:
-            edges = model.collapse().m
+            edges = len(model.pairs)
         else:
             dag = model.dag()
             edges = dag.edges_within(dag.mask_of(region))
@@ -628,13 +578,12 @@ def estimate_marginals(
     model: HardCoreModel,
     cfg: ChainConfig,
     samples: int,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> dict[int, float]:
     """Per-edge occupancy frequencies over independent chain runs."""
     if samples <= 0:
         raise ValueError("samples must be positive")
-    if rng is None:
-        rng = stream(0, "estimate")
     counts = [0] * model.graph.m
     for _ in range(samples):
         for eid in sample_matching(model, cfg, rng=rng):
@@ -648,12 +597,20 @@ def estimate_marginals(
 
 @dataclass
 class CalibrationResult:
+    """A fit's per-edge activities and achieved marginals.
+
+    ``model`` is the hard-core model at the fitted activities.  On the exact
+    path it holds the fit's compiled DAG, evaluated at those activities, so
+    drawing from it or reading its marginals compiles nothing.
+    """
+
     activities: dict[int, float]
     achieved: dict[int, float]
     max_error: float
     iterations: int
     k_hat: float
     method: str
+    model: HardCoreModel = field(repr=False, compare=False)
     converged: bool = True
 
 
@@ -691,7 +648,7 @@ def calibrate_activities(
     (memoized, so a caller that just measured the graph pays nothing).
     """
     if graph.m == 0:
-        return CalibrationResult({}, {}, 0.0, 0, 0.0, "exact")
+        return CalibrationResult({}, {}, 0.0, 0, 0.0, "exact", HardCoreModel(graph, []))
     if isinstance(target, Mapping):
         targets = {eid: _as_fraction(t) for eid, t in target.items()}
         if set(targets) != set(range(graph.m)):
@@ -708,8 +665,6 @@ def calibrate_activities(
     if uniform:
         # Uniform marginals 1/c exist iff chi* < c (strictly inside the
         # matching polytope); the same bound certifies dominated targets.
-        from .fractional import chi_star
-
         t_max = max(targets.values())
         value = chi_star(graph).value
         if value >= 1 / t_max:
@@ -726,8 +681,8 @@ def calibrate_activities(
             if eid in lam and math.isfinite(val) and val > 0.0:
                 lam[eid] = float(val)
 
-    collapse = _Collapse(graph, lam)
-    exact = collapse.m <= (EXACT_CAP if exact_cap is None else exact_cap)
+    start = HardCoreModel(graph, lam)
+    exact = len(start.pairs) <= (EXACT_CAP if exact_cap is None else exact_cap)
     method = "exact" if exact else "mcmc"
     if tol is None:
         tol = 1e-6 if exact else 1e-2
@@ -743,7 +698,7 @@ def calibrate_activities(
         rep = []
         slot: list[int] = []
         ids: dict[tuple[int, float, float], int] = {}
-        for s, mem in enumerate(collapse.members):
+        for s, mem in enumerate(start.members):
             for eid in mem:
                 key = (s, tf[eid], lam[eid])
                 if key not in ids:
@@ -753,9 +708,9 @@ def calibrate_activities(
                 cls[eid] = ids[key]
         # Each bundle's member classes, in member order: bundle sums add up
         # the same floats in the same order as a per-edge sum.
-        seqs = [[cls[eid] for eid in mem] for mem in collapse.members]
+        seqs = [[cls[eid] for eid in mem] for mem in start.members]
         # Compiled once; each iteration is one forward and one reverse sweep.
-        dag = _ZDag(collapse.n, collapse.pairs, collapse.lam)
+        dag = start.dag()
         root = dag.node(dag.full)
 
     def marginals_of(acts: list[float]) -> list[float]:
@@ -818,6 +773,12 @@ def calibrate_activities(
     k_hat = max([a / t for a, t in zip(best_acts, tc)])
     if best_ach is None:
         best_ach = marginals_of(best_acts)
+    model = HardCoreModel(graph, [best_acts[c] for c in cls])
+    if exact:
+        # The fit's DAG becomes the fitted model's.  The forward sweep (a no-op
+        # when the last iteration was the best) gives a fresh compile's values.
+        dag.evaluate(model.lam)
+        model._dag = dag
     result = CalibrationResult(
         activities={eid: best_acts[c] for eid, c in enumerate(cls)},
         achieved={eid: best_ach[c] for eid, c in enumerate(cls)},
@@ -825,6 +786,7 @@ def calibrate_activities(
         iterations=iterations,
         k_hat=k_hat,
         method=method,
+        model=model,
         converged=converged,
     )
     if not converged:

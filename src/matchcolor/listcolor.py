@@ -21,9 +21,13 @@ Two flaw kinds are repaired inside an iteration before committing: a vertex
 where too small a fraction of its uncolored edges got claimed, and an edge
 whose summed post-removal marginals drift off the iteration-start ledger.
 A repair redraws every color's matching inside a radius-t ball of the core
-(in G_i's own metric) and re-flips the bits there.  Iterations stop when the
-maximum uncolored degree falls below Delta/(2 K), and a list-greedy pass
-finishes on the lists {i : e in G_i} that the removals left behind.
+(in G_i's own metric) and re-flips the bits there.  Draws and repairs of
+color i come from one hard-core model of G_i per iteration: on the first
+iteration the model its calibration returned, shared by every color with
+the same edge set, and afterwards one built at the inherited activities.
+Iterations stop when the maximum uncolored degree falls below Delta/(2 K),
+and a list-greedy pass finishes on the lists {i : e in G_i} that the
+removals left behind.
 """
 
 from __future__ import annotations
@@ -137,20 +141,13 @@ class IterationContext:
     uncolored: tuple[int, ...]
     locality_audits: int = 0
     # Per color: the hard-core model of G_i and the host ids of its edges,
-    # built on first use and shared by the iteration's draw and every repair.
+    # shared by the iteration's draw and every repair.
     models: dict[int, tuple[HardCoreModel, tuple[int, ...]]] = field(
         default_factory=dict, repr=False
     )
 
     def index_of(self, color: int) -> int:
         return self.colors.index(color)
-
-    def color_model(self, color: int) -> tuple[HardCoreModel, tuple[int, ...]]:
-        got = self.models.get(color)
-        if got is None:
-            got = _color_model(self.graph, self.g_edges[color], self.activities[color])
-            self.models[color] = got
-        return got
 
 
 def build_color_subgraphs(graph: Multigraph, lists: ListMap) -> dict[int, tuple[int, ...]]:
@@ -205,7 +202,7 @@ def _color_marginals(
     rather than exact values.
     """
     cap = exact_cap_for(cfg.sampler)
-    if model.collapse().m <= cap:
+    if len(model.pairs) <= cap:
         local = exact_marginals(model, cap=cap)
         return {h: local[j] for j, h in enumerate(kept)}, False
     local = estimate_marginals(
@@ -236,7 +233,8 @@ def init_iteration(
     k_hats: list[float] = []
     estimated = False
     # Colors with the same edge set (e.g. identical lists everywhere) have the
-    # same targets 1/|L_e|: they check chi* and calibrate once and share it.
+    # same targets 1/|L_e|: they check chi* and calibrate once and share the
+    # fitted model, whose compiled DAG then serves all their draws.
     calib_cache: dict[tuple[int, ...], tuple[tuple[int, ...], CalibrationResult]] = {}
     models: dict[int, tuple[HardCoreModel, tuple[int, ...]]] = {}
     for c in colors:
@@ -264,6 +262,7 @@ def init_iteration(
                 )
                 got = calib_cache[edges] = (kept, calib)
             kept, calib = got
+            models[c] = (calib.model, kept)
             acts[c] = {h: calib.activities[j] for j, h in enumerate(kept)}
             margs[c] = {h: calib.achieved[j] for j, h in enumerate(kept)}
             k_hats.append(calib.k_hat)
@@ -312,7 +311,7 @@ def sample_iteration(ctx: IterationContext) -> ColorState:
     ms, As, Hs = [], [], []
     for c in ctx.colors:
         edges = ctx.g_edges[c]
-        model, kept = ctx.color_model(c)
+        model, kept = ctx.models[c]
         rng_m = stream(cfg.master_seed, "iter", ctx.iteration, "color", c, "match")
         local = draw_matching(model, cfg.sampler, cfg.chain_steps, rng_m)
         ms.append(frozenset(kept[j] for j in local))
@@ -399,7 +398,7 @@ def _fix_address(ctx: IterationContext, core: frozenset[int]):
             edges = ctx.g_edges[c]
             # The color's own model, as drawn from by sample_iteration; its
             # balls are taken in G_i's metric, from one distance map.
-            model, kept = ctx.color_model(c)
+            model, kept = ctx.models[c]
             pos = {h: j for j, h in enumerate(kept)}
             inner, outer = nested_balls(model.graph, core, (ctx.radius, ctx.radius + 1))
             local_m = frozenset(pos[h] for h in state.matchings[idx])

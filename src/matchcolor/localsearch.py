@@ -78,17 +78,6 @@ class RunTrace:
             out[rec.kind] = out.get(rec.kind, 0) + 1
         return out
 
-    def jsonl_records(self) -> list[dict]:
-        return [
-            {
-                "step": rec.step,
-                "flaw": str(rec.key),
-                "kind": rec.kind,
-                "footprint": rec.footprint_size,
-            }
-            for rec in self.addressed
-        ]
-
 
 def run_with_selector(
     initial: Any,

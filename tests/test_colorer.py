@@ -80,7 +80,7 @@ def test_plan_round_star_parameters(star_plan):
 
 def test_plan_round_star_calibration(star_plan):
     g, _, p = star_plan
-    lams = [p.activities[e] for e in range(g.m)]
+    lams = list(p.model.activities)
     # Symmetry: all sixteen edges share one activity.
     assert max(lams) - min(lams) < 1e-12
     # Closed form lambda = 39/16 for marginal (1 - 1/40)/16 on a 16-star.
@@ -109,12 +109,11 @@ def test_plan_round_rejects_sub_unit_target_level():
 
 def test_initial_state_shape_and_determinism(star_plan):
     g, cfg, p = star_plan
-    model = HardCoreModel(g, p.activities)
-    state = initial_state(model, p, cfg)
+    state = initial_state(p, cfg)
     assert len(state) == p.n_matchings
     assert all(is_matching(g, m) for m in state)
-    assert initial_state(model, p, cfg) == state
-    assert initial_state(model, p, cfg, attempt=1) != state
+    assert initial_state(p, cfg) == state
+    assert initial_state(p, cfg, attempt=1) != state
 
 
 def test_resample_matching_preserves_frozen_edges():
@@ -175,7 +174,7 @@ def test_run_round_reaches_flawless_state(shannon3_round):
     state, trace = run_round(g, p, cfg)
     assert trace.flawless
     assert len(state) == p.n_matchings
-    assert make_selector(HardCoreModel(g, p.activities), p, cfg)(state) is None
+    assert make_selector(p, cfg)(state) is None
     # The driver exact-verified the residual level internally (n <= 10);
     # re-check the degree component here.
     union = set().union(*state)
@@ -224,9 +223,9 @@ def test_run_round_retries_step_cap_exhaustion(shannon3_round, monkeypatch):
 
 
 def test_color_multigraph_compiles_one_sampling_dag_per_round(monkeypatch):
-    # Every draw of a round, repairs included, walks the round model's DAG:
-    # besides the DAG each exact calibration compiles, a run builds one per
-    # round, however many repairs its search makes.
+    # Every draw of a round, repairs included, walks the DAG its exact
+    # calibration compiled: a run builds one per round, calibrations
+    # included, however many repairs its search makes.
     built = []
     exact_calibrations = []
 
@@ -249,7 +248,8 @@ def test_color_multigraph_compiles_one_sampling_dag_per_round(monkeypatch):
     rounds = stats["rounds"]
     assert len(rounds) >= 2
     assert sum(r["steps"] for r in rounds) >= 10  # the searches repaired
-    assert len(built) - sum(exact_calibrations) == len(rounds)
+    assert all(exact_calibrations)
+    assert len(built) == len(rounds)
 
 
 def test_color_multigraph_computes_chi_star_once_per_graph(monkeypatch):

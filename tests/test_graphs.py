@@ -12,7 +12,6 @@ from matchcolor.graphs import (
     induced_subgraph,
     is_matching,
     matched_vertices,
-    require_matching,
     restrict_edges,
 )
 from support import cycle_graph, path_graph, petersen, sweep_corpus
@@ -162,13 +161,6 @@ def test_is_matching():
     assert is_matching(g, [])
     assert not is_matching(g, [0, 1])
     assert not is_matching(g, [0, 0, 2])  # repeated id saturates its endpoints
-
-
-def test_require_matching_message():
-    g = path_graph(3)
-    with pytest.raises(ValueError, match="edge set"):
-        require_matching(g, [0, 1])
-    assert require_matching(g, [0, 2]) == frozenset({0, 2})
 
 
 def test_matched_vertices():

@@ -14,6 +14,7 @@ from matchcolor import (
     ChainConfig,
     HardCoreModel,
     calibrate_activities,
+    chi_star,
     exact_marginals,
     log_partition_function,
     measure_correlation_decay,
@@ -23,11 +24,7 @@ from matchcolor import (
 )
 from matchcolor.errors import CapacityError
 from matchcolor.graphs import Multigraph, induced_subgraph, is_matching
-from matchcolor.hardcore import (
-    conditional_marginal,
-    default_steps,
-    estimate_marginals,
-)
+from matchcolor.hardcore import default_steps, estimate_marginals
 from matchcolor.oracle import enumerate_matchings, exact_distribution, tv_distance
 from support import cycle_graph, double_edge, path_graph, shannon, star_multigraph, sweep_corpus
 
@@ -53,10 +50,9 @@ def test_rejects_bad_activities():
 
 def test_parallel_bundles_collapse():
     model = HardCoreModel(double_edge(), [2.0, 3.0])
-    collapse = model.collapse()
-    assert collapse.m == 1
+    assert len(model.pairs) == 1
     # A bundle's activity is the sum of its members'.
-    assert math.isclose(collapse.lam[0], 5.0)
+    assert math.isclose(model.lam[0], 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +152,14 @@ def test_compiled_dag_reevaluates_exactly(case):
     # One DAG, two activity vectors in turn, then the first again: a value
     # left stale by a sweep shows up as a mismatch against enumeration.
     g, first, second = case
-    model = HardCoreModel(g, first)
-    collapse = model.collapse()
-    dag = model.dag()
+    dag = HardCoreModel(g, first).dag()
     root = dag.node(dag.full)
     for acts in (first, second, first):
-        lam = collapse.bundle_sums(acts)
-        dag.evaluate(lam)
+        view = HardCoreModel(g, acts)
+        dag.evaluate(view.lam)
         log_z, margs = _enumerated(g, acts)
         assert math.isclose(dag.val[root], log_z, rel_tol=1e-10)
-        got = collapse.edge_marginals(acts, lam, dag.bundle_marginals(root))
+        got = view.edge_marginals(dag.bundle_marginals(root))
         for e in range(g.m):
             assert math.isclose(got[e], margs[e], rel_tol=1e-10)
 
@@ -228,36 +222,6 @@ def test_vertex_occupancy_below_one(seed):
         assert occupancy < 1.0 + 1e-12
 
 
-def test_conditional_marginal_unconditioned_equals_exact():
-    g = path_graph(3)
-    model = HardCoreModel(g, [1.0] * 3)
-    ball = range(g.n)
-    assert abs(conditional_marginal(model, 1, [], ball) - 0.2) < 1e-12
-
-
-def test_conditional_marginal_blocked_edge():
-    g = path_graph(3)
-    model = HardCoreModel(g, [1.0] * 3)
-    # Freezing edge 0 saturates vertex 1, blocking the middle edge.
-    assert conditional_marginal(model, 1, [0], range(g.n)) == 0.0
-
-
-def test_conditional_marginal_requires_edge_in_ball():
-    g = path_graph(5)
-    model = HardCoreModel(g, [1.0] * 5)
-    with pytest.raises(ValueError):
-        conditional_marginal(model, 4, [], [0, 1, 2])
-
-
-def test_conditional_marginal_on_restricted_region():
-    # Conditioning a 5-path on its last edge leaves a 3-path for edges 0..2.
-    g = path_graph(5)
-    model = HardCoreModel(g, [1.0] * 5)
-    got = conditional_marginal(model, 0, [4], range(g.n))
-    sub = HardCoreModel(path_graph(3), [1.0] * 3)
-    assert abs(got - exact_marginals(sub)[0]) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Samplers
 
@@ -265,6 +229,16 @@ def test_conditional_marginal_on_restricted_region():
 def test_default_steps_budget():
     assert default_steps(HardCoreModel(double_edge(), [2.0, 3.0])) == 50
     assert default_steps(HardCoreModel(cycle_graph(3), [1.0] * 3)) == 90
+
+
+def test_chain_samplers_require_a_generator():
+    # A default stream would replay one draw on every call, so a loop of
+    # calls without a generator would return one matching, not a sample.
+    model = HardCoreModel(cycle_graph(4), [1.0] * 4)
+    with pytest.raises(TypeError):
+        sample_matching(model)
+    with pytest.raises(TypeError):
+        estimate_marginals(model, ChainConfig(), 10)
 
 
 def test_chain_draws_are_matchings():
@@ -327,13 +301,12 @@ def test_recursive_sampler_after_reevaluation(graph):
     # model's law, not the cached weights.
     acts = [2.0, 3.0, 0.5][: graph.m]
     model = HardCoreModel(graph, acts)
-    collapse = model.collapse()
     dag = model.dag()
-    dag.evaluate(collapse.bundle_sums([7.0] * graph.m))
+    dag.evaluate(HardCoreModel(graph, [7.0] * graph.m).lam)
     warm = stream(16, "rec-warm")
     for _ in range(50):
         dag.sample(dag.node(dag.full), warm)
-    dag.evaluate(collapse.lam)
+    dag.evaluate(model.lam)
     rng = stream(16, "rec-reeval")
     counts: dict[frozenset, int] = {}
     for _ in range(10000):
@@ -437,6 +410,24 @@ def test_calibration_classes_converge_exactly(case):
         exact = exact_marginals(HardCoreModel(g, r.activities))
         assert all(abs(r.achieved[e] - exact[e]) <= 1e-12 for e in range(g.m))
         assert all(abs(r.achieved[e] - float(targets[e])) <= 1e-6 for e in range(g.m))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [shannon(2), star_multigraph(5, 2), cycle_graph(7), path_graph(6)],
+    ids=["shannon2", "star5x2", "cycle7", "path6"],
+)
+def test_calibrated_model_holds_a_fresh_compile(graph):
+    # Draws read the DAG's node values, so the fit's re-evaluated DAG must
+    # hold exactly what a fresh compile at the fitted activities computes.
+    r = calibrate_activities(graph, Fraction(39, 40) / chi_star(graph).value)
+    assert r.model.activities == tuple(r.activities[e] for e in range(graph.m))
+    fresh = HardCoreModel(graph, r.activities).dag()
+    fresh.node(fresh.full)
+    dag = r.model.dag()
+    assert (dag.kids, dag.slots, dag.val, dag.weight) == (
+        fresh.kids, fresh.slots, fresh.val, fresh.weight
+    )
 
 
 def test_calibration_warm_start_is_immediate():

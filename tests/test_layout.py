@@ -46,3 +46,18 @@ def test_no_unused_imports():
             f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used
         ]
     assert offenders == []
+
+
+def test_no_function_local_imports():
+    """Imports sit at module level, where the module's dependencies are visible."""
+    offenders = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders |= {
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                }
+    assert sorted(offenders) == []

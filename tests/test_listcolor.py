@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matchcolor import InfeasibleTargetError, ListConfig, list_edge_color, stream
+from matchcolor import hardcore
 from matchcolor.graphs import Multigraph, is_matching, validate_coloring
 from matchcolor.hardcore import EXACT_CAP, HardCoreModel, exact_marginals
 from matchcolor.listcolor import (
@@ -351,6 +352,27 @@ def test_list_edge_color_deterministic():
     lists = uniform_lists(g, 3)
     cfg = ListConfig(master_seed=9, t_override=1)
     assert list_edge_color(g, lists, cfg) == list_edge_color(g, lists, cfg)
+
+
+def test_first_iteration_compiles_one_dag_per_edge_set(monkeypatch):
+    # Colors with one edge set share the model their calibration fitted,
+    # compiled DAG included, for every draw and repair of the iteration.
+    built = []
+
+    class CountingDag(hardcore._ZDag):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(hardcore, "_ZDag", CountingDag)
+    g = cycle_graph(6)
+    lists = uniform_lists(g, 6)
+    cfg = ListConfig(master_seed=3, t_override=1, max_iterations=1, edge_threshold=None)
+    coloring, stats = list_edge_color(g, lists, cfg)
+    assert validate_coloring(g, coloring, lists=lists).ok
+    assert len(stats["iterations"]) == 1
+    assert len(set(build_color_subgraphs(g, lists).values())) == 1
+    assert len(built) == 1
 
 
 def test_list_edge_color_offset_lists():

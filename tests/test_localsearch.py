@@ -89,12 +89,6 @@ def test_run_with_selector_addresses_first_present_flaw():
     assert trace.final_state == 4
 
 
-def test_jsonl_records_shape():
-    trace = run_with_selector(0, countdown_selector(2), stream(0, "c"))
-    recs = trace.jsonl_records()
-    assert recs[0] == {"step": 1, "flaw": "('low', 0)", "kind": "low", "footprint": 1}
-
-
 # ---------------------------------------------------------------------------
 # Causality
 
