@@ -1,4 +1,4 @@
-"""Fractional chromatic index via exact rational arithmetic.
+"""Fractional chromatic index, exact: rational levels, integer search.
 
 By Edmonds' matching-polytope description, the fractional chromatic index of a
 multigraph is
@@ -10,6 +10,10 @@ edge count is at most (|H|/2) * Delta), and a disconnected odd H is dominated
 by its best component, so the search space is connected odd sets of size >= 3.
 The search enumerates connected sets rooted at their minimum vertex with sound
 upper-bound pruning, so it is exhaustive within the vertex cap.
+
+Levels, chi* and certificate ratios are exact rationals (``Fraction``).  The
+search writes its level as p/q once and compares cross-multiplied integers,
+so it is exact at any denominator and does no rational arithmetic per set.
 """
 
 from __future__ import annotations
@@ -45,26 +49,21 @@ class FractionalIndex:
 
 
 class _Skeleton:
-    """Simple-graph view of a multigraph: pair multiplicities and neighbor sets."""
+    """Simple-graph view of a multigraph: degrees and, per vertex, its
+    neighbors in increasing order, each with the pair's multiplicity."""
 
     def __init__(self, graph: Multigraph):
-        self.n = graph.n
         self.deg = [graph.degree(v) for v in range(graph.n)]
         mult: dict[tuple[int, int], int] = {}
         for u, v in graph.endpoints:
             key = (u, v) if u < v else (v, u)
             mult[key] = mult.get(key, 0) + 1
-        self.mult = mult
-        nbrs: list[set[int]] = [set() for _ in range(graph.n)]
-        for u, v in mult:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        self.nbrs = [tuple(sorted(s)) for s in nbrs]
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+        for (u, v), k in mult.items():
+            adj[u].append((v, k))
+            adj[v].append((u, k))
+        self.adj = [tuple(sorted(a)) for a in adj]
         self.max_mult = max(mult.values(), default=0)
-
-    def pair_mult(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        return self.mult.get(key, 0)
 
 
 def find_violated_matching_constraint(
@@ -78,6 +77,7 @@ def find_violated_matching_constraint(
     for any H extending S inside the branch,
     2|E(H)| <= sum_deg(S) - leak(S) + (|H| - |S|) * Dmax, where leak counts
     multigraph edges from S to vertices permanently outside the branch.
+    With c = p/q, every test compares cross-multiplied integers.
     """
     c = Fraction(c)
     if c < 1:
@@ -90,83 +90,71 @@ def find_violated_matching_constraint(
     cap = min(vertex_cap, graph.n if graph.n % 2 else graph.n - 1)
     if cap < 3:
         return None
-    dmax = max(sk.deg)
+    adj, deg = sk.adj, sk.deg
+    p, q = c.numerator, c.denominator
+    dmax = max(deg)
     # A violating H of size k satisfies |E(H)| <= max_mult * k * (k-1) / 2,
-    # hence k > c / max_mult.
-    k_mult_floor = c / sk.max_mult
-
-    def smallest_odd_at_least(k: int) -> int:
-        return k if k % 2 else k + 1
+    # hence k > c / max_mult: k_min is the smallest odd k >= 3 with that.
+    k_min = max(3, p // (sk.max_mult * q) + 1)
+    k_min += 1 - k_min % 2
+    # The bound g(k) = sum_deg - leak + (k - size) * dmax - (k - 1) * c is
+    # monotone in k with slope dmax - c, so one endpoint decides.
+    slope_up = dmax * q > p
 
     def can_extend(size: int, sum_deg: int, leak: int) -> bool:
-        lo = smallest_odd_at_least(max(size + 1, 3))
-        while Fraction(lo) <= k_mult_floor:
-            lo += 2
+        lo = max(size + 1 + size % 2, k_min)  # smallest feasible odd size > size
         if lo > cap:
             return False
-        hi = cap
-        base = Fraction(sum_deg - leak)
+        probe = cap if slope_up else lo
+        return (sum_deg - leak + (probe - size) * dmax) * q > (probe - 1) * p
 
-        def g(k: int) -> Fraction:
-            return base + (k - size) * dmax - (k - 1) * c
+    # Per root: 1 marks the growing set, 2 a vertex outside the branch (below
+    # the root, or banned after its subtree was explored), 0 a free vertex.
+    state = [0] * graph.n
+    violations: list[tuple[tuple[int, ...], int]] = []
 
-        # g is monotone in k (slope dmax - c), so one endpoint decides.
-        probe = lo if dmax <= c else hi
-        return g(probe) > 0
-
-    violations: list[tuple[tuple[int, ...], int, Fraction]] = []
+    def grow(members: list[int], ext: list[int], sum_deg: int, internal: int, leak: int) -> None:
+        local_leak = leak
+        processed: list[int] = []
+        for idx, v in enumerate(ext):
+            add_internal = v_leak = 0
+            for w, k in adj[v]:
+                s = state[w]
+                if s == 1:
+                    add_internal += k
+                elif s == 2:
+                    v_leak += k
+            members.append(v)
+            state[v] = 1
+            size = len(members)
+            new_sum = sum_deg + deg[v]
+            new_internal = internal + add_internal
+            new_leak = local_leak + v_leak
+            if size % 2 and size >= 3 and 2 * new_internal * q > (size - 1) * p:
+                violations.append((tuple(sorted(members)), new_internal))
+            if size < cap and can_extend(size, new_sum, new_leak):
+                tail = ext[idx + 1 :]
+                seen = set(tail)
+                new_ext = list(tail)
+                for w, _ in adj[v]:
+                    if state[w] == 0 and w not in seen:
+                        new_ext.append(w)
+                        seen.add(w)
+                grow(members, new_ext, new_sum, new_internal, new_leak)
+            members.pop()
+            state[v] = 2
+            processed.append(v)
+            # The set is back to what it was when add_internal was counted.
+            local_leak += add_internal
+        for v in processed:
+            state[v] = 0
 
     for root in range(graph.n):
-        if not sk.nbrs[root]:
-            continue
-        banned: set[int] = set()
-        in_set: set[int] = {root}
-
-        def conn(v: int) -> int:
-            return sum(sk.pair_mult(v, w) for w in sk.nbrs[v] if w in in_set)
-
-        def grow(members: list[int], ext: list[int], sum_deg: int, internal: int, leak: int) -> None:
-            local_leak = leak
-            processed: list[int] = []
-            for idx, v in enumerate(ext):
-                add_internal = conn(v)
-                v_leak = sum(
-                    sk.pair_mult(v, w)
-                    for w in sk.nbrs[v]
-                    if w < root or w in banned
-                )
-                members.append(v)
-                in_set.add(v)
-                size = len(members)
-                new_sum = sum_deg + sk.deg[v]
-                new_internal = internal + add_internal
-                new_leak = local_leak + v_leak
-                if size % 2 and size >= 3 and size <= cap:
-                    if 2 * new_internal > (size - 1) * c:
-                        ratio = Fraction(new_internal, (size - 1) // 2)
-                        violations.append((tuple(sorted(members)), new_internal, ratio))
-                if size < cap and can_extend(size, new_sum, new_leak):
-                    tail = ext[idx + 1 :]
-                    seen = set(tail)
-                    new_ext = list(tail)
-                    for w in sk.nbrs[v]:
-                        if w > root and w not in in_set and w not in banned and w not in seen:
-                            new_ext.append(w)
-                            seen.add(w)
-                    grow(members, new_ext, new_sum, new_internal, new_leak)
-                members.pop()
-                in_set.remove(v)
-                banned.add(v)
-                processed.append(v)
-                local_leak += conn(v)
-            for v in processed:
-                banned.remove(v)
-
-        if can_extend(1, sk.deg[root], 0):
-            grow([root], list(sk.nbrs[root]), sk.deg[root], 0, 0)
+        grow([], [root], 0, 0, 0)
         if violations:
-            verts, edges, ratio = min(violations)
-            return OddSetCertificate(verts, edges, ratio)
+            verts, edges = min(violations)
+            return OddSetCertificate(verts, edges, Fraction(edges, (len(verts) - 1) // 2))
+        state[root] = 2
     return None
 
 

@@ -68,6 +68,18 @@ def sweep_multigraph(rng: random.Random, n_max: int = 8, m_max: int = 14) -> Mul
     return Multigraph(n, out)
 
 
+def cubic_graph(seed: int, n: int) -> Multigraph:
+    """A uniform random simple 3-regular graph: pair the 3n half-edges at
+    random and reject pairings with loops or parallel edges."""
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return Multigraph(n, sorted(edges))
+
+
 def sweep_corpus(seed: int, count: int, n_max: int = 8, m_max: int = 14) -> list[Multigraph]:
     rng = random.Random(seed)
     return [sweep_multigraph(rng, n_max, m_max) for _ in range(count)]

@@ -1,14 +1,19 @@
 """Fractional chromatic index: exact values, certificates, dual checks."""
 
 import math
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matchcolor import Multigraph, chi_star, find_violated_matching_constraint
 from matchcolor.fractional import OddSetCertificate
 from matchcolor.oracle import brute_force_chromatic_index, brute_force_gamma
 from support import (
+    cubic_graph,
     cycle_graph,
     double_edge,
     path_graph,
@@ -84,6 +89,86 @@ def test_violation_below_the_index():
     assert cert.ratio == 9
     assert cert.edge_count == 9
     assert len(cert.vertices) == 3
+
+
+def test_level_exact_at_large_denominators():
+    g = shannon(3)
+    cert = find_violated_matching_constraint(g, 9 - Fraction(1, 10**12), 3)
+    assert cert == OddSetCertificate((0, 1, 2), 9, Fraction(9))
+    assert find_violated_matching_constraint(g, Fraction(9), 3) is None
+
+
+def test_search_does_no_rational_arithmetic():
+    """Levels are rationals, but the search compares integers: a search on a
+    34-vertex cubic graph calls into ``fractions`` only at its boundary."""
+    g = cubic_graph(34, 34)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.endswith("fractions.py"):
+            calls += 1
+
+    level = Fraction(3)
+    sys.setprofile(profile)
+    try:
+        cert = find_violated_matching_constraint(g, level, 33)
+    finally:
+        sys.setprofile(None)
+    assert cert is None
+    assert calls <= 20
+
+
+def odd_sets(graph, cap):
+    """Every connected odd vertex set H with 3 <= |H| <= cap, with |E(H)|."""
+    for size in range(3, min(cap, graph.n) + 1, 2):
+        for verts in combinations(range(graph.n), size):
+            inside = [(u, v) for u, v in graph.endpoints if u in verts and v in verts]
+            reached, before = {verts[0]}, 0
+            while len(reached) > before:
+                before = len(reached)
+                reached |= {w for u, v in inside if u in reached or v in reached for w in (u, v)}
+            if len(reached) == size:
+                yield verts, len(inside)
+
+
+@st.composite
+def search_cases(draw):
+    n = draw(st.integers(1, 9))
+    # Edges fall on a random subset of the vertices; the rest stay isolated.
+    used = draw(st.permutations(range(n)))[: draw(st.integers(min(n, 2), n))]
+    pairs = [(u, v) for u in used for v in used if u < v]
+    mult = {}
+    if pairs:
+        mult = dict(draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 4)), max_size=14)))
+    graph = Multigraph(n, [pair for pair, k in sorted(mult.items()) for _ in range(k)])
+    cap = draw(st.sampled_from(range(3, max(3, n) + 1, 2)))
+    attained = sorted({Fraction(2 * e, len(verts) - 1) for verts, e in odd_sets(graph, cap)})
+    q = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(("at", "below", "free"))) if attained else "free"
+    if kind == "free":
+        top = max(attained, default=Fraction(4))
+        return graph, Fraction(draw(st.integers(q + 1, math.ceil(top * q) + q)), q), cap
+    ratio = draw(st.sampled_from(attained))
+    return graph, ratio if kind == "at" else max(Fraction(1), ratio - Fraction(1, q)), cap
+
+
+@settings(max_examples=150)
+@given(search_cases())
+# A dense triangle above Delta whose pruning bound is tight: the leak is a
+# banned pendant (first case) or a pendant below the root (second case).
+@example((Multigraph(5, [(0, 1)] + [(0, 2)] * 2 + [(0, 3)] * 2 + [(2, 3)] * 4), Fraction(15, 2), 5))
+@example((Multigraph(5, [(0, 1)] + [(1, 2)] * 2 + [(1, 3)] * 2 + [(2, 3)] * 4), Fraction(15, 2), 5))
+def test_search_matches_brute_force(case):
+    graph, level, cap = case
+    violating = [
+        (verts, e) for verts, e in odd_sets(graph, cap) if 2 * e > (len(verts) - 1) * level
+    ]
+    expect = None
+    if violating:
+        verts, e = min(violating)
+        expect = OddSetCertificate(verts, e, Fraction(e, (len(verts) - 1) // 2))
+    assert find_violated_matching_constraint(graph, level, cap) == expect
 
 
 def test_size_cap_lower_bound():
