@@ -174,6 +174,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 0:
+        raise ValueError("count must be non-negative")
     graph = _read_graph(args.graph)
     model = HardCoreModel(graph, _activities_for(graph, args))
     rng = stream(args.seed, "cli", "sample")
@@ -208,6 +210,8 @@ def _cmd_verify_chi_e(args) -> int:
 
 
 def _cmd_verify_dist(args) -> int:
+    if args.samples <= 0:
+        raise ValueError("samples must be positive")
     graph = _read_graph(args.graph)
     model = HardCoreModel(graph, _activities_for(graph, args))
     exact = exact_distribution(model)

@@ -26,7 +26,10 @@ compile.
 
 Approximate sampling is a Metropolis chain over matchings of the collapsed
 graph with insert / delete / slide proposals, driven by the generator the
-caller passes.
+caller passes.  How it reads that generator is part of its contract (see
+``sample_matching``): the batch size and the order of generator calls within a
+batch fix every chain draw, and with them every chain estimate and chain-path
+calibration.
 
 The sampler policy of both pipelines lives here too: ``exact_cap_for`` maps a
 sampler setting ("auto", "exact" or "chain") to the most collapsed edges it
@@ -452,6 +455,14 @@ def sample_matching(
     The chain starts from the empty matching on the collapsed simple graph
     and proposes insert, delete and slide moves with probabilities 0.4, 0.4
     and 0.2; the result is lifted to host edge ids.
+
+    Stream contract: the steps run in batches of 8192 (the last one
+    shorter), and each batch calls ``rng.random(k)`` for the moves,
+    ``rng.integers(0, ms, size=k)`` for the proposed edges and
+    ``rng.random(k)`` for the acceptance tests, in that order; then each
+    chosen bundle with more than one member takes one ``rng.random()`` for
+    its lift.  A model without edges consumes nothing.  Changing the batch
+    size or the order of these calls changes every chain draw.
     """
     cfg = cfg or ChainConfig()
     ms = len(model.pairs)
@@ -462,48 +473,51 @@ def sample_matching(
     in_m = [False] * ms
     partner = [-1] * model.graph.n
     lam = model.lam
-    pairs = model.pairs
+    inv = [1.0 / a for a in lam]
+    us = [u for u, _ in model.pairs]
+    vs = [v for _, v in model.pairs]
 
     done = 0
     batch = 8192
     while done < steps:
         k = min(batch, steps - done)
         done += k
-        move_r = rng.random(k)
-        picks = rng.integers(0, ms, size=k)
-        accept_r = rng.random(k)
-        for j in range(k):
-            e = int(picks[j])
-            u, v = pairs[e]
-            r = move_r[j]
+        move_r = rng.random(k).tolist()
+        picks = rng.integers(0, ms, size=k).tolist()
+        accept_r = rng.random(k).tolist()
+        for r, e, x in zip(move_r, picks, accept_r):
             if r < 0.4:  # insert
-                if not in_m[e] and partner[u] < 0 and partner[v] < 0:
-                    a = lam[e]
-                    if a >= 1.0 or accept_r[j] < a:
-                        in_m[e] = True
-                        partner[u] = e
-                        partner[v] = e
-            elif r < 0.8:  # delete
-                if in_m[e]:
-                    a = 1.0 / lam[e]
-                    if a >= 1.0 or accept_r[j] < a:
-                        in_m[e] = False
-                        partner[u] = -1
-                        partner[v] = -1
-            else:  # slide
                 if not in_m[e]:
-                    pu, pv = partner[u], partner[v]
-                    if (pu >= 0) != (pv >= 0):
-                        f = pu if pu >= 0 else pv
-                        a = lam[e] / lam[f]
-                        if a >= 1.0 or accept_r[j] < a:
-                            fu, fv = pairs[f]
-                            in_m[f] = False
-                            partner[fu] = -1
-                            partner[fv] = -1
+                    u = us[e]
+                    v = vs[e]
+                    if partner[u] < 0 and partner[v] < 0:
+                        a = lam[e]
+                        if a >= 1.0 or x < a:
                             in_m[e] = True
                             partner[u] = e
                             partner[v] = e
+            elif r < 0.8:  # delete
+                if in_m[e]:
+                    a = inv[e]
+                    if a >= 1.0 or x < a:
+                        in_m[e] = False
+                        partner[us[e]] = -1
+                        partner[vs[e]] = -1
+            elif not in_m[e]:  # slide
+                u = us[e]
+                v = vs[e]
+                pu = partner[u]
+                pv = partner[v]
+                if (pu >= 0) != (pv >= 0):
+                    f = pu if pu >= 0 else pv
+                    a = lam[e] / lam[f]
+                    if a >= 1.0 or x < a:
+                        in_m[f] = False
+                        partner[us[f]] = -1
+                        partner[vs[f]] = -1
+                        in_m[e] = True
+                        partner[u] = e
+                        partner[v] = e
 
     return frozenset(_lift_bundle(model, e, rng) for e in range(ms) if in_m[e])
 

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from matchcolor import Multigraph, chi_star
+from matchcolor.hardcore import _lift_bundle
 
 # ---------------------------------------------------------------------------
 # Named graphs
@@ -140,6 +141,67 @@ def gs_instance(seed: int) -> Multigraph:
 
 def list_instance(seed: int) -> Multigraph:
     return banded_multigraph(seed, 8, 40, 25, 4, 11, chords=3)
+
+
+# ---------------------------------------------------------------------------
+# Reference chain
+
+
+def reference_chain(model, steps: int, rng) -> frozenset[int]:
+    """The Metropolis chain of ``hardcore.sample_matching`` in its first,
+    per-step numpy-scalar form, kept to pin the kernel's random stream: the
+    same generator calls per batch, the same move tests, the same lift."""
+    ms = len(model.pairs)
+    if ms == 0:
+        return frozenset()
+
+    in_m = [False] * ms
+    partner = [-1] * model.graph.n
+    lam = model.lam
+    pairs = model.pairs
+
+    done = 0
+    batch = 8192
+    while done < steps:
+        k = min(batch, steps - done)
+        done += k
+        move_r = rng.random(k)
+        picks = rng.integers(0, ms, size=k)
+        accept_r = rng.random(k)
+        for j in range(k):
+            e = int(picks[j])
+            u, v = pairs[e]
+            r = move_r[j]
+            if r < 0.4:  # insert
+                if not in_m[e] and partner[u] < 0 and partner[v] < 0:
+                    a = lam[e]
+                    if a >= 1.0 or accept_r[j] < a:
+                        in_m[e] = True
+                        partner[u] = e
+                        partner[v] = e
+            elif r < 0.8:  # delete
+                if in_m[e]:
+                    a = 1.0 / lam[e]
+                    if a >= 1.0 or accept_r[j] < a:
+                        in_m[e] = False
+                        partner[u] = -1
+                        partner[v] = -1
+            else:  # slide
+                if not in_m[e]:
+                    pu, pv = partner[u], partner[v]
+                    if (pu >= 0) != (pv >= 0):
+                        f = pu if pu >= 0 else pv
+                        a = lam[e] / lam[f]
+                        if a >= 1.0 or accept_r[j] < a:
+                            fu, fv = pairs[f]
+                            in_m[f] = False
+                            partner[fu] = -1
+                            partner[fv] = -1
+                            in_m[e] = True
+                            partner[u] = e
+                            partner[v] = e
+
+    return frozenset(_lift_bundle(model, e, rng) for e in range(ms) if in_m[e])
 
 
 # ---------------------------------------------------------------------------

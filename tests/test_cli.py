@@ -189,6 +189,14 @@ def test_sample_activities_missing_edge(tmp_path, capsys):
     assert "misses edge ids" in err
 
 
+def test_sample_rejects_negative_count(tmp_path, capsys):
+    path = write_graph(tmp_path, path_graph(2))
+    code, out, err = run(capsys, ["sample", path, "--count", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "count must be non-negative" in err
+
+
 # ---------------------------------------------------------------------------
 # verify chi-e
 
@@ -264,6 +272,14 @@ def test_verify_dist_detects_undersampling(tmp_path, capsys):
         capsys, ["verify", "dist", path, "--samples", "50", "--tol", "0.001"]
     )
     assert code == 1
+
+
+def test_verify_dist_rejects_zero_samples(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(3))
+    code, out, err = run(capsys, ["verify", "dist", path, "--samples", "0"])
+    assert code == 2
+    assert out == ""
+    assert "samples must be positive" in err
 
 
 # ---------------------------------------------------------------------------

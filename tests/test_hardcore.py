@@ -26,7 +26,15 @@ from matchcolor.errors import CapacityError
 from matchcolor.graphs import Multigraph, induced_subgraph, is_matching
 from matchcolor.hardcore import default_steps, estimate_marginals
 from matchcolor.oracle import enumerate_matchings, exact_distribution, tv_distance
-from support import cycle_graph, double_edge, path_graph, shannon, star_multigraph, sweep_corpus
+from support import (
+    cycle_graph,
+    double_edge,
+    path_graph,
+    reference_chain,
+    shannon,
+    star_multigraph,
+    sweep_corpus,
+)
 
 
 def random_activities(g, seed, lo=0.1, hi=10.0):
@@ -247,6 +255,49 @@ def test_chain_draws_are_matchings():
     rng = stream(3, "chain-check")
     for _ in range(40):
         assert is_matching(g, sample_matching(model, ChainConfig(steps=60), rng=rng))
+
+
+# Step counts on both sides of the chain's 8192-step batch boundaries.
+KERNEL_STEPS = (0, 1, 8191, 8192, 8193, 3 * 8192 + 5)
+KERNEL_CASES = {
+    # Unequal bundles (the lift draws) with bundle activities on both sides
+    # of 1, so every acceptance test and both slide ratios (< 1 and >= 1) run.
+    "bundles": (
+        Multigraph(
+            6,
+            [(0, 1)] * 3 + [(1, 2)] + [(2, 3)] * 2 + [(3, 4), (4, 0), (4, 5), (1, 4)],
+        ),
+        [0.2, 1.0, 2.5, 0.3, 0.05, 0.6, 3.0, 0.8, 1.7, 0.4],
+    ),
+    # Three components and an isolated vertex.
+    "disconnected": (
+        Multigraph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (4, 5), (6, 7)]),
+        [0.5, 2.0, 1.0, 0.1, 4.0, 0.25, 1.3],
+    ),
+    # No edges at all: the chain must consume no randomness.
+    "empty": (Multigraph(3, []), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_chain_kernel_matches_reference_loop(case):
+    """The chain's draws and its generator's state after every draw equal
+    those of the reference per-step loop: the kernel's stream is pinned."""
+    graph, acts = KERNEL_CASES[case]
+    model = HardCoreModel(graph, acts)
+    # Two chains fed the same numbers coalesce within tens of steps, so a
+    # long run's draw shows only its last moves; many short runs show the rest.
+    for steps, draws in [(steps, 3) for steps in KERNEL_STEPS] + [(20, 300)]:
+        ours = stream(41, "kernel", case, steps)
+        ref = stream(41, "kernel", case, steps)
+        before = ref.bit_generator.state
+        for _ in range(draws):
+            draw = sample_matching(model, ChainConfig(steps=steps), rng=ours)
+            assert draw == reference_chain(model, steps, ref)
+            assert is_matching(graph, draw)
+            assert ours.bit_generator.state == ref.bit_generator.state
+        if case == "empty":
+            assert ours.bit_generator.state == before
 
 
 def test_chain_distribution_on_triangle():
