@@ -66,8 +66,10 @@ from .rng import stream
 RoundState = tuple[frozenset[int], ...]
 
 # Iteration cap of every pipeline calibration, eight times
-# calibrate_activities' default: near-critical targets can take hundreds of
-# IPF iterations, and a stalled fit is an error, not a slow answer.
+# calibrate_activities' default.  Exact fits take a handful of Newton
+# iterations and end early on a degenerate target, so the cap binds on the
+# chain path, whose damped IPF on sampled marginals can take thousands; a
+# stalled fit is an error, not a slow answer.
 CALIBRATION_MAX_ITERS = 4000
 
 

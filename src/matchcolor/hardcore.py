@@ -16,13 +16,21 @@ deletion-contraction recursion, grouped per minimum-degree pivot v,
 memoized on live-vertex sets and factored over connected components, with
 values in log domain filled in as nodes are created.  For new activities, a
 forward sweep re-evaluates every node; a reverse sweep then gives every
-bundle marginal d log Z / d log lambda at once; and an exact draw walks the
-DAG from its root, or from the node of a vertex region for the law induced
-there.  Calibration compiles its starting model once and sweeps on every
-iteration, fitting one activity per class of parallel edges with a common
-target and start.  It returns the model at the fitted activities, holding
-that DAG, so a pipeline draws from the model it calibrated without a second
-compile.
+bundle marginal d log Z / d log lambda at once; a tangent pair of sweeps
+gives their covariance, the second derivatives of log Z; and an exact draw
+walks the DAG from its root, or from the node of a vertex region for the law
+induced there.
+
+Exact calibration is damped Newton on the convex max-entropy dual
+log Z - sum_e t_e log lambda_e, with the exact Hessian from those sweeps.
+It compiles its starting model once, fits one activity per class of
+parallel edges with a common target and start, and takes a handful of
+iterations even near criticality; a target on or outside the matching
+polytope's boundary ends it early with CalibrationError.  It returns the
+model at the fitted activities, holding that DAG, so a pipeline draws from
+the model it calibrated without a second compile.  Chain-path calibration,
+which has no Hessian, is damped iterative proportional fitting on sampled
+marginals.
 
 Approximate sampling is a Metropolis chain over matchings of the collapsed
 graph with insert / delete / slide proposals, driven by the generator the
@@ -44,7 +52,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -342,6 +351,87 @@ class _ZDag:
         grad.pop()
         return grad
 
+    def bundle_covariance(self, root: int) -> list[list[float]]:
+        """Cov[s in M, t in M] = d^2 log Z / d log lambda_s d log lambda_t for slots t <= s.
+
+        The derivative of ``bundle_marginals``, by a tangent pair of sweeps
+        that carry one vector over the slots per node (the differential
+        approach); it adds no node.  A component node's term j has probability
+        pi_j = exp(log lambda_{s_j} + val_{k_j} - val_i).  The forward sweep
+        gives ``dval[i] = d val_i / d log lambda``: sum_j pi_j (e_{s_j} +
+        dval_{k_j}) at a component node, the kids' sum at a split node.  The
+        reverse sweep passes flows down from ``root``: node i is reached with
+        probability F_i, and term j carries F_i pi_j, whose tangent
+        dF_i pi_j + F_i pi_j (e_{s_j} + dval_{k_j} - dval_i) adds into row s_j.
+        The sweep carries G_i = dF_i - F_i dval_i in place of dF_i, which
+        makes that tangent pi_j G_i + F_i pi_j (e_{s_j} + dval_{k_j}) and a
+        kid's share of it pi_j G_i + F_i pi_j e_{s_j}; a split node passes
+        G_i + F_i (dval_i - dval_k) to kid k.  Row s is the gradient of
+        Pr[s in M], cut to the lower triangle (its first s + 1 entries).
+        """
+        val, w, split, kids, slots = self.val, self.weight, self.split, self.kids, self.slots
+        exp = math.exp
+        width = len(w) - 1
+        zero = [0.0] * width
+        dval: list[list[float]] = [zero] * (root + 1)
+        probs: list[list[float]] = [[]] * (root + 1)
+        for i in range(1, root + 1):
+            ks = kids[i]
+            if split[i]:
+                acc = dval[ks[0]]
+                for k in ks[1:]:
+                    acc = [a + b for a, b in zip(acc, dval[k])]
+            else:
+                v = val[i]
+                pis = [exp(w[s] + val[k] - v) for k, s in zip(ks, slots[i])]
+                probs[i] = pis
+                if len(ks) == 2:
+                    # Most nodes (a degree-one pivot): one pass over both kids.
+                    p0, p1 = pis
+                    acc = [p0 * b + p1 * c for b, c in zip(dval[ks[0]], dval[ks[1]])]
+                else:
+                    acc = zero
+                    for pi, k in zip(pis, ks):
+                        acc = [a + pi * b for a, b in zip(acc, dval[k])]
+                for pi, s in zip(pis, slots[i]):
+                    if s >= 0:
+                        acc[s] += pi
+            dval[i] = acc
+        # Row s keeps columns t <= s: zip stops at its end.
+        cov = [[0.0] * (s + 1) for s in range(width)]
+        flow = [0.0] * (root + 1)
+        outer: list[list[float] | None] = [None] * (root + 1)
+        flow[root] = 1.0
+        outer[root] = [-x for x in dval[root]]
+        for i in range(root, 0, -1):
+            g = outer[i]
+            if g is None:
+                continue
+            f = flow[i]
+            ks = kids[i]
+            if split[i]:
+                dv = dval[i]
+                for k in ks:
+                    flow[k] += f
+                    got = outer[k]
+                    if got is None:
+                        got = zero
+                    outer[k] = [a + b + f * (c - d) for a, b, c, d in zip(got, g, dv, dval[k])]
+                continue
+            for pi, k, s in zip(probs[i], ks, slots[i]):
+                fp = f * pi
+                if s >= 0:
+                    cov[s] = [a + pi * b + fp * c for a, b, c in zip(cov[s], g, dval[k])]
+                    cov[s][s] += fp
+                if k:
+                    flow[k] += fp
+                    got = outer[k]
+                    got = [pi * b for b in g] if got is None else [a + pi * b for a, b in zip(got, g)]
+                    if s >= 0:
+                        got[s] += fp
+                    outer[k] = got
+        return cov
+
     def _cumulative(self, i: int) -> tuple[float, list[float]]:
         w, val = self.weight, self.val
         terms = [w[s] + val[k] for k, s in zip(self.kids[i], self.slots[i])]
@@ -635,6 +725,201 @@ def _as_fraction(x) -> Fraction:
     return Fraction(str(x))
 
 
+# A fit's best activities, their marginals, its max error, its iteration
+# count, and why it stopped short (None when it converged).  A fit allowed
+# no iteration reports its start.
+_Fit = tuple[list[float], list[float], float, int, str | None]
+_CAP_REACHED = "the iteration cap was reached"
+_SINGULAR = (
+    "the dual's Hessian is not positive definite: the target lies on or outside "
+    "the matching polytope's boundary"
+)
+_DIVERGED = "an activity would leave [1e-200, 1e200]: the target lies outside the matching polytope"
+_NO_DESCENT = "no step along the Newton direction decreases the dual"
+
+
+def _cholesky(h: list[list[float]]) -> list[list[float]] | None:
+    """Lower Cholesky factor of a symmetric matrix given by its lower
+    triangle, or None when a pivot is not positive (h not numerically
+    positive definite)."""
+    low: list[list[float]] = []
+    for row in h:
+        li: list[float] = []
+        for lj, x in zip(low, row):
+            li.append((x - sum(map(mul, li, lj))) / lj[-1])
+        d = row[len(li)] - sum(map(mul, li, li))
+        if not d > 0.0:
+            return None
+        li.append(math.sqrt(d))
+        low.append(li)
+    return low
+
+
+def _cho_solve(low: list[list[float]], b: list[float]) -> list[float]:
+    """Solve L L^T x = b by forward and back substitution."""
+    y: list[float] = []
+    for li, x in zip(low, b):
+        y.append((x - sum(map(mul, li, y))) / li[-1])
+    n = len(y)
+    out = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        out[i] = (y[i] - sum([low[j][i] * out[j] for j in range(i + 1, n)])) / low[i][i]
+    return out
+
+
+def _newton_fit(
+    dag: _ZDag,
+    root: int,
+    seqs: list[list[int]],
+    slot: list[int],
+    counts: list[int],
+    acts: list[float],
+    tc: list[float],
+    tol: float,
+    max_iters: int,
+) -> _Fit:
+    """Damped Newton on the max-entropy dual over per-class activities.
+
+    Class c holds ``counts[c]`` host edges of bundle ``slot[c]``, each at
+    activity a_c and target t_c.  With theta_c = log a_c the fit minimizes
+    the convex F(theta) = log Z - sum_c n_c t_c theta_c, whose gradient is
+    g_c = n_c (mu_c - t_c) and whose Hessian is W C W^T + diag(W p) -
+    (W o p) W^T, where W_cs = n_c a_c / lambda_s for s = slot[c], p holds
+    the bundle marginals and C their covariance (``bundle_covariance``);
+    classes are numbered in bundle order, so H's lower triangle reads C's.
+    Each iteration solves H d = -g, scales d down to at most four e-folds
+    per class, and halves it until F falls by the Armijo fraction (forward
+    sweeps only).  Once within ``tol``, one more step on the last Cholesky
+    factor (no new covariance) takes the fit close to round-off, and the
+    better of the two points is kept.
+
+    The fit stops short, unconverged, when H is not numerically positive
+    definite, no halving decreases F, or an activity would leave
+    [1e-200, 1e200]: each means the target sits on or outside the matching
+    polytope's boundary, where the optimum lies at infinity.  Iterations
+    count the points whose marginals were evaluated; backtracking trials
+    are not counted.
+    """
+    log, exp = math.log, math.exp
+    lin = [n * t for n, t in zip(counts, tc)]
+    # Classes of each bundle, for the bundle-local terms of H.
+    peers: list[list[int]] = [[] for _ in seqs]
+    for c, s in enumerate(slot):
+        peers[s].append(c)
+    best_acts = acts
+    best_ach = None
+    best_err = math.inf
+    low = None
+    iterations = 0
+
+    def newton_step(low: list[list[float]], grad: list[float]) -> list[float]:
+        step = _cho_solve(low, [-g for g in grad])
+        big = max(map(abs, step))
+        return [d * (4.0 / big) for d in step] if big > 4.0 else step
+
+    def measure(acts: list[float]) -> tuple[list[float], list[float], list[float], float]:
+        # Bundle activities, bundle marginals, class marginals, max error.
+        lam = [sum(map(acts.__getitem__, seq)) for seq in seqs]
+        dag.evaluate(lam)
+        p = dag.bundle_marginals(root)
+        ach = [p[s] * a / lam[s] for s, a in zip(slot, acts)]
+        return lam, p, ach, max([abs(a - t) for a, t in zip(ach, tc)])
+
+    for iterations in range(1, max_iters + 1):
+        lam, p, ach, err = measure(acts)
+        if err < best_err:
+            best_err, best_acts, best_ach = err, acts, ach
+        grad = [n * m - x for n, m, x in zip(counts, ach, lin)]
+        if err <= tol:
+            if low is not None and iterations < max_iters:
+                iterations += 1
+                acts = [a * exp(d) for a, d in zip(acts, newton_step(low, grad))]
+                _, _, ach, err = measure(acts)
+                if err < best_err:
+                    best_err, best_acts, best_ach = err, acts, ach
+            return best_acts, best_ach, best_err, iterations, None
+        cov = dag.bundle_covariance(root)
+        wc = [n * a / lam[s] for n, a, s in zip(counts, acts, slot)]
+        hess = []
+        for c, s in enumerate(slot):
+            w = wc[c]
+            cs = cov[s]
+            row = [w * cs[sd] * wd for sd, wd in zip(slot[: c + 1], wc)]
+            for d in peers[s]:
+                if d <= c:
+                    row[d] -= w * wc[d] * p[s]
+            row[c] += w * p[s]
+            hess.append(row)
+        low = _cholesky(hess)
+        if low is None:
+            return best_acts, best_ach, best_err, iterations, _SINGULAR
+        step = newton_step(low, grad)
+        if any(not 1e-200 <= a * exp(d) <= 1e200 for a, d in zip(acts, step)):
+            return best_acts, best_ach, best_err, iterations, _DIVERGED
+        theta = [log(a) for a in acts]
+        f0 = dag.val[root] - sum([x * y for x, y in zip(lin, theta)])
+        slope = sum([g * d for g, d in zip(grad, step)])
+        # Round-off in F, which a nearly converged step can fall within.
+        slack = 1e-13 * (dag.val[root] + sum([abs(x * y) for x, y in zip(lin, theta)]))
+        t = 1.0
+        for _ in range(40):
+            trial = [a * exp(t * d) for a, d in zip(acts, step)]
+            dag.evaluate([sum(map(trial.__getitem__, seq)) for seq in seqs])
+            f = dag.val[root] - sum([x * (y + t * d) for x, y, d in zip(lin, theta, step)])
+            if f <= f0 + 1e-4 * t * slope + slack:
+                acts = trial
+                break
+            t *= 0.5
+        else:
+            return best_acts, best_ach, best_err, iterations, _NO_DESCENT
+    if best_ach is None:
+        best_ach = measure(acts)[2]
+    return best_acts, best_ach, best_err, iterations, _CAP_REACHED
+
+
+def _ipf_fit(
+    marginals_of: Callable[[list[float]], list[float]],
+    acts: list[float],
+    tc: list[float],
+    tol: float,
+    max_iters: int,
+) -> _Fit:
+    """Damped iterative proportional fitting on sampled marginals.
+
+    Each pass moves lambda <- lambda * (target/marginal)^exponent, clamped
+    to four e-folds; the exponent halves (down to 1/64) whenever the error
+    has grown twice in a row.
+    """
+    logt = [math.log(t) for t in tc]
+    log, exp = math.log, math.exp
+    exponent = 1.0
+    prev_err = math.inf
+    prev_prev_err = math.inf
+    best_acts = acts
+    best_ach = None
+    best_err = math.inf
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        ach = marginals_of(acts)
+        err = max([abs(a - t) for a, t in zip(ach, tc)])
+        if err < best_err:
+            best_err, best_acts, best_ach = err, acts, ach
+        if err <= tol:
+            return best_acts, best_ach, best_err, iterations, None
+        if err > prev_err > prev_prev_err:
+            exponent = max(exponent * 0.5, 1.0 / 64.0)
+        prev_prev_err, prev_err = prev_err, err
+        # Clamp to four e-folds per pass; a vanishing marginal would
+        # otherwise request an overflowing jump in one step.
+        applied = [
+            min(4.0, max(-4.0, exponent * (a - log(max(b, 1e-300))))) for a, b in zip(logt, ach)
+        ]
+        acts = [a * exp(step) for a, step in zip(acts, applied)]
+    if best_ach is None:
+        best_ach = marginals_of(acts)
+    return best_acts, best_ach, best_err, iterations, _CAP_REACHED
+
+
 def calibrate_activities(
     graph: Multigraph,
     target,
@@ -646,20 +931,30 @@ def calibrate_activities(
     rng: np.random.Generator | None = None,
     initial: Mapping[int, float] | None = None,
 ) -> CalibrationResult:
-    """Iterative proportional fitting of activities to marginal targets.
+    """Fit activities to marginal targets.
 
     ``target`` is a single rational marginal for every edge, or a mapping from
-    edge id to its target.  Updates are lambda <- lambda * (target/marginal)
-    raised to a step size fit from the previous response on the exact path and
-    damped by halving on the sampled path.  Marginals come from the exact path
-    below the cap and from chain estimates above it.  ``initial`` warm-starts
-    the activities (useful when recalibrating after small edits).
+    edge id to its target.  Marginals come from the exact path below the cap
+    and from chain estimates above it.  ``initial`` warm-starts the
+    activities (useful when recalibrating after small edits).
 
-    On the exact path, parallel edges with the same target and the same
-    starting activity form a class: their marginals and updates agree bit for
-    bit, so the fit runs on one activity per class and expands them to host
-    edges at the end.  Uniform targets are checked against chi* first
-    (memoized, so a caller that just measured the graph pays nothing).
+    The exact path runs damped Newton on the convex max-entropy dual
+    log Z - sum_e t_e log lambda_e (``_newton_fit``), with the exact Hessian
+    from the compiled DAG's covariance sweeps; it takes a handful of
+    iterations, even near criticality.  Parallel edges with the same target
+    and the same starting activity form a class: their marginals and updates
+    agree bit for bit, so the fit runs on one activity per class and expands
+    them to host edges at the end.  The chain path, which has no Hessian,
+    runs damped iterative proportional fitting on sampled marginals
+    (``_ipf_fit``), one class per edge.  Either way ``iterations`` counts the
+    points whose marginals were evaluated.
+
+    Uniform targets are checked against chi* first (memoized, so a caller
+    that just measured the graph pays nothing) and raise
+    InfeasibleTargetError.  A fit that ends above ``tol`` raises
+    CalibrationError carrying its best point and saying why it stopped; on
+    the exact path a target on or outside the matching polytope's boundary
+    ends it early, once the dual's Hessian degenerates.
     """
     if graph.m == 0:
         return CalibrationResult({}, {}, 0.0, 0, 0.0, "exact", HardCoreModel(graph, []))
@@ -723,70 +1018,28 @@ def calibrate_activities(
         # Each bundle's member classes, in member order: bundle sums add up
         # the same floats in the same order as a per-edge sum.
         seqs = [[cls[eid] for eid in mem] for mem in start.members]
-        # Compiled once; each iteration is one forward and one reverse sweep.
+        # Compiled once; each iteration sweeps it (``_newton_fit``).
         dag = start.dag()
         root = dag.node(dag.full)
 
-    def marginals_of(acts: list[float]) -> list[float]:
-        """Per-class marginals at per-class activities."""
-        if not exact:
-            est = estimate_marginals(HardCoreModel(graph, acts), chain, samples, rng=rng)
-            return [est[eid] for eid in range(graph.m)]
-        bundle_lam = [sum(map(acts.__getitem__, seq)) for seq in seqs]
-        dag.evaluate(bundle_lam)
-        bundle = dag.bundle_marginals(root)
-        return [bundle[s] * a / bundle_lam[s] for s, a in zip(slot, acts)]
-
     acts = [lam[eid] for eid in rep]
     tc = [tf[eid] for eid in rep]
-    logt = [math.log(t) for t in tc]
-    log, exp = math.log, math.exp
-    exponent = 1.0
-    prev_err = math.inf
-    prev_prev_err = math.inf
-    best_acts = acts
-    best_ach = None
-    best_err = math.inf
-    iterations = 0
-    converged = False
-    prev_applied: list[float] | None = None
-    prev_logmu: list[float] = []
-    for iterations in range(1, max_iters + 1):
-        ach = marginals_of(acts)
-        logmu = [log(max(a, 1e-300)) for a in ach]
-        err = max([abs(a - t) for a, t in zip(ach, tc)])
-        if err < best_err:
-            best_err = err
-            best_acts = acts
-            best_ach = ach
-        if err <= tol:
-            converged = True
-            break
-        if exact:
-            # Raw updates overshoot near criticality (the map's gain exceeds
-            # one), so fit the scalar gain from the previous step's response
-            # and take the secant-sized step instead.  Both sums run over
-            # host edges in id order, a class counted once per member.
-            if prev_applied is not None:
-                prod = [(a - b) * p for a, b, p in zip(logmu, prev_logmu, prev_applied)]
-                num = sum(map(prod.__getitem__, cls))
-                sq = [p * p for p in prev_applied]
-                den = sum(map(sq.__getitem__, cls))
-                if den > 0.0 and num / den > 1e-3:
-                    exponent = min(4.0, max(1.0 / 64.0, den / num))
-        elif err > prev_err > prev_prev_err:
-            exponent = max(exponent * 0.5, 1.0 / 64.0)
-        prev_prev_err, prev_err = prev_err, err
-        # Clamp to four e-folds per pass; a vanishing marginal would
-        # otherwise request an overflowing jump in one step.
-        applied = [min(4.0, max(-4.0, exponent * (a - b))) for a, b in zip(logt, logmu)]
-        acts = [a * exp(step) for a, step in zip(acts, applied)]
-        prev_applied = applied
-        prev_logmu = logmu
+    if exact:
+        counts = [0] * len(rep)
+        for c in cls:
+            counts[c] += 1
+        fit = _newton_fit(dag, root, seqs, slot, counts, acts, tc, tol, max_iters)
+    else:
+
+        def estimate(acts: list[float]) -> list[float]:
+            est = estimate_marginals(HardCoreModel(graph, acts), chain, samples, rng=rng)
+            return [est[eid] for eid in range(graph.m)]
+
+        fit = _ipf_fit(estimate, acts, tc, tol, max_iters)
+    best_acts, best_ach, best_err, iterations, stall = fit
+    converged = stall is None
 
     k_hat = max([a / t for a, t in zip(best_acts, tc)])
-    if best_ach is None:
-        best_ach = marginals_of(best_acts)
     model = HardCoreModel(graph, [best_acts[c] for c in cls])
     if exact:
         # The fit's DAG becomes the fitted model's.  The forward sweep (a no-op
@@ -806,7 +1059,7 @@ def calibrate_activities(
     if not converged:
         raise CalibrationError(
             f"calibration stalled at max error {best_err:.3g} after "
-            f"{iterations} iterations (tol {tol:.3g})",
+            f"{iterations} iterations (tol {tol:.3g}): {stall}",
             best=result,
         )
     return result

@@ -2,10 +2,11 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from matchcolor import (
@@ -27,9 +28,11 @@ from matchcolor.graphs import Multigraph, induced_subgraph, is_matching
 from matchcolor.hardcore import default_steps, estimate_marginals
 from matchcolor.oracle import enumerate_matchings, exact_distribution, tv_distance
 from support import (
+    cubic_graph,
     cycle_graph,
     double_edge,
     path_graph,
+    petersen,
     reference_chain,
     shannon,
     star_multigraph,
@@ -205,6 +208,54 @@ def test_region_draws_match_induced_submodel(case):
         want = sample_matching_recursive(submodel, sub_rng)
         assert got == frozenset(sub.edge_ids[j] for j in want)
     assert host_rng.random() == sub_rng.random()
+
+
+def _enumerated_covariance(model, region=None):
+    """Bundle-occupancy covariance by brute force over the matchings that lie
+    inside ``region`` (all of them when it is None)."""
+    g = model.graph
+    slot_of = {e: s for s, mem in enumerate(model.members) for e in mem}
+    inside = [
+        m for m in enumerate_matchings(g)
+        if region is None or all(set(g.endpoints[e]) <= region for e in m)
+    ]
+    weights = [math.prod(model.activities[e] for e in m) for m in inside]
+    z = sum(weights)
+    occupied = [{slot_of[e] for e in m} for m in inside]
+    width = len(model.pairs)
+    p = [sum(w for w, occ in zip(weights, occupied) if s in occ) / z for s in range(width)]
+    return [
+        [
+            sum(w for w, occ in zip(weights, occupied) if s in occ and t in occ) / z - p[s] * p[t]
+            for t in range(width)
+        ]
+        for s in range(width)
+    ]
+
+
+@pytest.mark.parametrize(
+    "graph, region",
+    [
+        (Multigraph(6, [(0, 1)] * 3 + [(1, 2)] * 2 + [(2, 3), (3, 4), (4, 0), (4, 5)]), None),
+        (Multigraph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (5, 6)]), None),
+        (star_multigraph(6), None),
+        (Multigraph(7, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (4, 6), (2, 4)]),
+         frozenset({0, 1, 3, 4, 5, 6})),
+    ],
+    ids=["bundles", "disconnected", "star", "region"],
+)
+def test_bundle_covariance_matches_enumeration(graph, region):
+    # Activities straddle 1, so terms of both signs of log lambda occur.
+    model = HardCoreModel(graph, random_activities(graph, graph.m, lo=0.05, hi=20.0))
+    dag = model.dag()
+    root = dag.node(dag.full if region is None else dag.mask_of(region))
+    nodes = len(dag.val)
+    got = dag.bundle_covariance(root)
+    assert len(dag.val) == nodes
+    want = _enumerated_covariance(model, region)
+    # The lower triangle, row s holding columns 0..s.
+    assert [len(row) for row in got] == list(range(1, len(want) + 1))
+    assert max(abs(a - b) for ra, rb in zip(got, want) for a, b in zip(ra, rb)) <= 1e-12
 
 
 def test_region_draw_cap_counts_region_edges():
@@ -479,6 +530,71 @@ def test_calibrated_model_holds_a_fresh_compile(graph):
     assert (dag.kids, dag.slots, dag.val, dag.weight) == (
         fresh.kids, fresh.slots, fresh.val, fresh.weight
     )
+
+
+@pytest.mark.parametrize(
+    "graph", [cycle_graph(9), cycle_graph(12), petersen()], ids=["cycle9", "cycle12", "petersen"]
+)
+def test_calibration_keeps_edge_transitive_graphs_uniform(graph):
+    # Every edge of these graphs has the same fitted activity, so a spread
+    # measures how far the fit let non-uniform error modes grow.
+    r = calibrate_activities(graph, Fraction(39, 40) / chi_star(graph).value, max_iters=4000)
+    acts = list(r.activities.values())
+    assert r.iterations <= 12
+    assert max(acts) - min(acts) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_calibration_near_critical_cubic_takes_few_iterations(seed):
+    g = cubic_graph(seed, 12)
+    r = calibrate_activities(g, Fraction(39, 40) / chi_star(g).value, max_iters=4000)
+    assert r.max_error <= 1e-6
+    assert r.iterations <= 15
+
+
+@st.composite
+def saturating_targets(draw):
+    """A small multigraph with non-uniform per-edge targets, those of one
+    vertex's edges summing to at least one."""
+    g = _small_multigraph(draw)
+    hubs = [v for v in range(g.n) if g.degree(v) >= 2]
+    assume(hubs)
+    hub = draw(st.sampled_from(hubs))
+    targets = {e: Fraction(draw(st.integers(1, 99)), 100) for e in range(g.m)}
+    q = draw(st.integers(2, 60))
+    for e in g.incidence[hub]:
+        targets[e] = Fraction(draw(st.integers(1, q - 1)), q)
+    assume(sum(targets[e] for e in g.incidence[hub]) >= 1)
+    assume(len(set(targets.values())) > 1)
+    return g, targets, hub
+
+
+@settings(max_examples=60, deadline=None)
+@given(saturating_targets())
+@example((Multigraph(3, [(0, 1), (1, 2), (0, 2)]),
+          {0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(1, 10)}, 1))
+@example((Multigraph(4, [(0, 1), (0, 1), (0, 2), (2, 3)]),
+          {0: Fraction(59, 60), 1: Fraction(59, 60), 2: Fraction(59, 60), 3: Fraction(1, 100)}, 0))
+def test_calibration_outside_the_polytope_fails_typed(case):
+    # Vertex sums of at least one leave no interior optimum: the dual runs
+    # off to infinity and its Hessian degenerates.  Nothing untyped may
+    # escape, not even a warning; a sum above one ends in CalibrationError
+    # with a finite best point, and a sum of exactly one may converge only
+    # where the boundary lies within tol.
+    g, targets, hub = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            r = calibrate_activities(g, targets, max_iters=60)
+        except CalibrationError as err:
+            r = err.best
+            assert not r.converged and r.max_error > 1e-6
+        else:
+            assert sum(targets[e] for e in g.incidence[hub]) == 1
+            assert r.max_error <= 1e-6
+    assert r.method == "exact"
+    assert all(math.isfinite(x) and x > 0 for x in r.activities.values())
+    assert all(math.isfinite(x) for x in r.achieved.values())
 
 
 def test_calibration_warm_start_is_immediate():
