@@ -24,12 +24,12 @@ footprint.  A round draws from the model its calibration returned
 the calibration's, and shares it across its attempts, initial draws and
 repairs.  Every draw goes through ``hardcore.draw_matching``, which walks
 that DAG from the free region's node, so no subgraph or submodel is built
-per repair (only the chain sampler, above the exact cap, runs on an induced
-submodel).  ``repair_radius`` plans t for both this pipeline and the list
-pipeline.  Exact action kernels and the product measure over matching
-tuples are exposed for small instances so search convergence certificates
-(charges, commutation, lopsidependency) can be evaluated against the same
-code paths.
+per repair (only the chain sampler, where the DAG exceeds its budget, runs
+on an induced submodel).  ``repair_radius`` plans t for both this pipeline
+and the list pipeline.  Exact action kernels and the product measure over
+matching tuples are exposed for small instances so search convergence
+certificates (charges, commutation, lopsidependency) can be evaluated
+against the same code paths.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .hardcore import (
     HardCoreModel,
     calibrate_activities,
     draw_matching,
-    exact_cap_for,
 )
 from .localsearch import Flaw, FlawSpec, RunTrace, run_with_selector
 from .oracle import exact_distribution
@@ -66,10 +65,7 @@ from .rng import stream
 RoundState = tuple[frozenset[int], ...]
 
 # Iteration cap of every pipeline calibration, eight times
-# calibrate_activities' default.  Exact fits take a handful of Newton
-# iterations and end early on a degenerate target, so the cap binds on the
-# chain path, whose damped IPF on sampled marginals can take thousands; a
-# stalled fit is an error, not a slow answer.
+# calibrate_activities' default: a stalled fit is an error, not a slow answer.
 CALIBRATION_MAX_ITERS = 4000
 
 
@@ -81,10 +77,10 @@ class GsConfig:
     delta = eps/4, the calibration target and flaw thresholds.  ``chi0``
     defaults to max(64, ceil((4/eps)^4)); instances below it go straight to
     the greedy pass.  ``sampler`` picks the matching sampler: "exact"
-    (partition-function walk), "chain" (Metropolis), or "auto" (exact when
-    the collapsed view is small).  Round planning calibrates at
-    ``calibrate_activities``' default tolerance, sample count and
-    ``CALIBRATION_MAX_ITERS`` iterations.
+    (partition-function walk), "chain" (Metropolis), or "auto" (exact while
+    the compiled DAG fits ``hardcore``'s node budget, the chain past it).
+    Round planning calibrates at ``calibrate_activities``' default
+    tolerance, sample count and ``CALIBRATION_MAX_ITERS`` iterations.
     """
 
     epsilon: float = 0.1
@@ -198,7 +194,7 @@ def plan_round(
         target,
         max_iters=CALIBRATION_MAX_ITERS,
         chain=ChainConfig(steps=cfg.chain_steps),
-        exact_cap=exact_cap_for(cfg.sampler),
+        sampler=cfg.sampler,
         rng=rng,
         initial=warm,
     )

@@ -30,7 +30,8 @@ polytope's boundary ends it early with CalibrationError.  It returns the
 model at the fitted activities, holding that DAG, so a pipeline draws from
 the model it calibrated without a second compile.  Chain-path calibration,
 which has no Hessian, is damped iterative proportional fitting on sampled
-marginals.
+marginals, stopped by default within three standard errors of its sampling
+noise.
 
 Approximate sampling is a Metropolis chain over matchings of the collapsed
 graph with insert / delete / slide proposals, driven by the generator the
@@ -39,10 +40,13 @@ caller passes.  How it reads that generator is part of its contract (see
 batch fix every chain draw, and with them every chain estimate and chain-path
 calibration.
 
-The sampler policy of both pipelines lives here too: ``exact_cap_for`` maps a
-sampler setting ("auto", "exact" or "chain") to the most collapsed edges it
-draws exactly, and ``draw_matching`` walks the DAG when the model or region
-fits that cap and runs the chain otherwise.
+The sampler policy of both pipelines lives here, and only here: given a
+sampler setting, ``calibrate_activities``, ``draw_matching`` and
+``sampler_marginals`` compile the DAG within that setting's node budget
+(``_node_budget``) and run the chain when a compile would pass it.  The
+budget counts the DAG's total, and a compile stopped by it keeps the nodes
+it made (children first, so they stay valid), so a model that failed once
+fails again at once.  Called directly, the exact functions have no budget.
 """
 from __future__ import annotations
 
@@ -59,10 +63,16 @@ import numpy as np
 
 from .errors import CalibrationError, CapacityError, InfeasibleTargetError
 from .fractional import chi_star
-from .graphs import Multigraph, distances_from, induced_subgraph, matched_vertices
+from .graphs import Multigraph, distances_from, induced_subgraph, matched_vertices, restrict_edges
 from .rng import stream
 
-EXACT_CAP = 64  # collapsed simple-edge cap for exact partition functions
+# Budgets of the exact path under sampler="auto" (see the module docstring).
+# On a 2-core x86-64 host under CPython 3.11, a compile costs about 16 us
+# per node, a covariance sweep about 1 us and 70 bytes per node x slot, and
+# a chain draw on 60 collapsed edges 5-10 ms.  20,000 nodes keep random
+# cubic graphs on 34 vertices (up to about 18,000 nodes) exact.
+AUTO_NODE_BUDGET = 20_000
+AUTO_SWEEP_BUDGET = 1_000_000
 
 
 class HardCoreModel:
@@ -163,6 +173,9 @@ class _ZDag:
         self.val: list[float] = [0.0]
         self.index: dict[int, int] = {}
         self._cum: dict[int, tuple[float, list[float]]] = {}
+        # The most nodes the DAG may hold: ``_add`` raises CapacityError
+        # past it.  Budgeted callers set it around a compile (``_within``).
+        self.budget = sys.maxsize
 
     @staticmethod
     def mask_of(verts: Iterable[int]) -> int:
@@ -170,15 +183,6 @@ class _ZDag:
         for v in verts:
             acc |= 1 << v
         return acc
-
-    def edges_within(self, mask: int) -> int:
-        total = 0
-        bits = mask
-        while bits:
-            low = bits & -bits
-            total += (self.nbr_mask[low.bit_length() - 1] & mask).bit_count()
-            bits ^= low
-        return total // 2
 
     def log_z(self, mask: int) -> float:
         return self.val[self.node(mask)]
@@ -209,6 +213,8 @@ class _ZDag:
 
     def _add(self, split: bool, kids: tuple[int, ...], slots: tuple[int, ...], value: float) -> int:
         node = len(self.val)
+        if node >= self.budget:
+            raise CapacityError(f"compiling would take the DAG past {self.budget} nodes")
         self.split.append(split)
         self.kids.append(kids)
         self.slots.append(slots)
@@ -470,25 +476,14 @@ class _ZDag:
         return chosen
 
 
-def _check_cap(count: int, cap: int | None) -> None:
-    limit = EXACT_CAP if cap is None else cap
-    if count > limit:
-        raise CapacityError(
-            f"exact computation over {count} collapsed edges exceeds the cap of "
-            f"{limit}; use the sampling path instead"
-        )
-
-
-def log_partition_function(model: HardCoreModel, cap: int | None = None) -> float:
+def log_partition_function(model: HardCoreModel) -> float:
     """log Z, where Z sums the activity products of all matchings (incl. empty)."""
-    _check_cap(len(model.pairs), cap)
     dag = model.dag()
     return dag.log_z(dag.full)
 
 
-def exact_marginals(model: HardCoreModel, cap: int | None = None) -> dict[int, float]:
+def exact_marginals(model: HardCoreModel) -> dict[int, float]:
     """Pr[e in M] for every edge id, from one reverse sweep of the DAG."""
-    _check_cap(len(model.pairs), cap)
     dag = model.dag()
     return model.edge_marginals(dag.bundle_marginals(dag.node(dag.full)))
 
@@ -615,7 +610,6 @@ def sample_matching(
 def sample_matching_recursive(
     model: HardCoreModel,
     rng: np.random.Generator,
-    cap: int | None = None,
     region: Iterable[int] | None = None,
 ) -> frozenset[int]:
     """Exact draw by walking the model's compiled partition-function DAG.
@@ -623,28 +617,46 @@ def sample_matching_recursive(
     Costs one compile on first use and cheap walks after.  With
     ``region`` (a set of the model's vertices) the draw comes from the law
     induced on those vertices, by a walk from the region's node; nodes not
-    yet compiled are added on demand, and the cap applies to the collapsed
-    edges inside the region.  The region's node orders pivots, components,
-    neighbours and bundle members as the induced submodel's root would, so
-    the draw equals that submodel's under the same stream.  Chosen pairs are
-    thinned to host edges in proportion to their activities.
+    yet compiled are added on demand.  The region's node orders pivots,
+    components, neighbours and bundle members as the induced submodel's root
+    would, so the draw equals that submodel's under the same stream.  Chosen
+    pairs are thinned to host edges in proportion to their activities.
     """
     dag = model.dag()
-    if region is None:
-        _check_cap(len(model.pairs), cap)
-        root = dag.node(dag.full)
-    else:
-        mask = dag.mask_of(region)
-        _check_cap(dag.edges_within(mask), cap)
-        root = dag.node(mask)
+    root = dag.node(dag.full if region is None else dag.mask_of(region))
     slots = dag.sample(root, rng)
     return frozenset(_lift_bundle(model, s, rng) for s in slots)
 
 
-def exact_cap_for(sampler: str) -> int:
-    """The most collapsed edges a sampler setting computes exactly: none for
-    "chain", any number for "exact", and ``EXACT_CAP`` for "auto"."""
-    return {"chain": -1, "exact": sys.maxsize, "auto": EXACT_CAP}[sampler]
+def _node_budget(sampler: str, slots: int | None = None) -> int:
+    """The most DAG nodes the exact path may hold under a sampler setting:
+    none for "chain" and any number for "exact".  Under "auto" a model's DAG
+    may hold ``AUTO_NODE_BUDGET`` nodes, and a calibration over ``slots``
+    bundle slots at most ``AUTO_SWEEP_BUDGET // slots`` of them, since its
+    tangent sweep keeps a slot-wide vector per node."""
+    if sampler == "chain":
+        return 0
+    if sampler == "exact":
+        return sys.maxsize
+    if slots is None:
+        return AUTO_NODE_BUDGET
+    return min(AUTO_NODE_BUDGET, AUTO_SWEEP_BUDGET // slots)
+
+
+def _within(model: HardCoreModel, budget: int, exact: Callable[[_ZDag], object]):
+    """``exact(model.dag())``, or None when that would take the DAG past
+    ``budget`` nodes; a budget of 0 compiles nothing.  A failed draw takes no
+    random number, because a walk starts only once its root is compiled."""
+    if not budget:
+        return None
+    dag = model.dag()
+    dag.budget = budget
+    try:
+        return exact(dag)
+    except CapacityError:
+        return None
+    finally:
+        dag.budget = sys.maxsize
 
 
 def draw_matching(
@@ -656,26 +668,40 @@ def draw_matching(
 ) -> frozenset[int]:
     """One hard-core draw from ``model``, or from its law induced on ``region``.
 
-    The exact path walks the model's compiled DAG from the region's node; it
-    is taken when the region's collapsed edges fit the sampler's exact cap
-    (``exact_cap_for``).  The chain runs on the model itself, or on a
-    submodel induced on the region.
+    The exact path walks the model's compiled DAG from the region's node
+    (``sample_matching_recursive``) when that node fits the sampler's node
+    budget.  Otherwise the chain runs on the model itself, or on a submodel
+    induced on the region.
     """
-    cap = exact_cap_for(sampler)
-    if cap >= 0:
-        if region is None:
-            edges = len(model.pairs)
-        else:
-            dag = model.dag()
-            edges = dag.edges_within(dag.mask_of(region))
-        if edges <= cap:
-            return sample_matching_recursive(model, rng, cap=cap, region=region)
+    budget = _node_budget(sampler)
+    got = _within(model, budget, lambda dag: sample_matching_recursive(model, rng, region))
+    if got is not None:
+        return got
     chain = ChainConfig(steps=chain_steps)
     if region is None:
         return sample_matching(model, chain, rng=rng)
     sub = induced_subgraph(model.graph, region)
     submodel = HardCoreModel(sub.graph, [model.activities[h] for h in sub.edge_ids])
     return frozenset(sub.edge_ids[j] for j in sample_matching(submodel, chain, rng=rng))
+
+
+def sampler_marginals(
+    model: HardCoreModel,
+    sampler: str,
+    chain_steps: int | None,
+    samples: int,
+    rng: np.random.Generator,
+) -> tuple[dict[int, float], bool]:
+    """Every edge's marginal and whether the values are chain estimates.
+
+    Exact from the DAG's reverse sweep (``exact_marginals``) when the DAG fits
+    the sampler's node budget; otherwise occupancy frequencies over
+    ``samples`` chain runs (``estimate_marginals``).
+    """
+    got = _within(model, _node_budget(sampler), lambda dag: exact_marginals(model))
+    if got is not None:
+        return got, False
+    return estimate_marginals(model, ChainConfig(steps=chain_steps), samples, rng=rng), True
 
 
 def estimate_marginals(
@@ -927,16 +953,17 @@ def calibrate_activities(
     max_iters: int = 500,
     chain: ChainConfig | None = None,
     samples: int = 400,
-    exact_cap: int | None = None,
+    sampler: str = "auto",
     rng: np.random.Generator | None = None,
     initial: Mapping[int, float] | None = None,
 ) -> CalibrationResult:
     """Fit activities to marginal targets.
 
     ``target`` is a single rational marginal for every edge, or a mapping from
-    edge id to its target.  Marginals come from the exact path below the cap
-    and from chain estimates above it.  ``initial`` warm-starts the
-    activities (useful when recalibrating after small edits).
+    edge id to its target.  Marginals come from the exact path when the
+    compiled DAG fits ``sampler``'s calibration budget (``_node_budget``), and
+    from chain estimates otherwise.  ``initial`` warm-starts the activities
+    (useful when recalibrating after small edits).
 
     The exact path runs damped Newton on the convex max-entropy dual
     log Z - sum_e t_e log lambda_e (``_newton_fit``), with the exact Hessian
@@ -946,8 +973,10 @@ def calibrate_activities(
     agree bit for bit, so the fit runs on one activity per class and expands
     them to host edges at the end.  The chain path, which has no Hessian,
     runs damped iterative proportional fitting on sampled marginals
-    (``_ipf_fit``), one class per edge.  Either way ``iterations`` counts the
-    points whose marginals were evaluated.
+    (``_ipf_fit``), one class per edge; its default ``tol`` is three standard
+    errors of the noisiest estimate, 3 max_e sqrt(t_e (1 - t_e) / samples),
+    since a tighter tol is below the noise and is never met.  Either way
+    ``iterations`` counts the points whose marginals were evaluated.
 
     Uniform targets are checked against chi* first (memoized, so a caller
     that just measured the graph pays nothing) and raise
@@ -991,10 +1020,12 @@ def calibrate_activities(
                 lam[eid] = float(val)
 
     start = HardCoreModel(graph, lam)
-    exact = len(start.pairs) <= (EXACT_CAP if exact_cap is None else exact_cap)
+    # Compiled once; each exact iteration sweeps it (``_newton_fit``).
+    root = _within(start, _node_budget(sampler, len(start.pairs)), lambda dag: dag.node(dag.full))
+    exact = root is not None
     method = "exact" if exact else "mcmc"
     if tol is None:
-        tol = 1e-6 if exact else 1e-2
+        tol = 1e-6 if exact else 3.0 * max(math.sqrt(t * (1.0 - t) / samples) for t in tf.values())
     chain = chain or ChainConfig()
     if not exact and rng is None:
         rng = stream(0, "calibrate")
@@ -1018,9 +1049,7 @@ def calibrate_activities(
         # Each bundle's member classes, in member order: bundle sums add up
         # the same floats in the same order as a per-edge sum.
         seqs = [[cls[eid] for eid in mem] for mem in start.members]
-        # Compiled once; each iteration sweeps it (``_newton_fit``).
         dag = start.dag()
-        root = dag.node(dag.full)
 
     acts = [lam[eid] for eid in rep]
     tc = [tf[eid] for eid in rep]
@@ -1083,8 +1112,8 @@ def measure_correlation_decay(
     conditional marginal is computed exactly on the completion subgraph: the
     vertices within distance t minus those saturated by Q, keeping only edges
     with at least one endpoint strictly inside the ball.  Everything is
-    exact: the matchings behind Q are walks of the model's compiled DAG, and
-    a model over ``EXACT_CAP`` collapsed edges raises CapacityError.
+    exact, at any size: the matchings behind Q are walks of the model's
+    compiled DAG.
     """
     if t < 1:
         raise ValueError("conditioning distance t must be >= 1")
@@ -1104,6 +1133,11 @@ def measure_correlation_decay(
     if not far:
         return 0.0
 
+    # The edges with an endpoint strictly inside the ball, which every
+    # completion subgraph keeps between its unblocked vertices.
+    near, near_ids = restrict_edges(
+        graph, [f for f, (a, b) in enumerate(graph.endpoints) if 0 <= min(dist[a], dist[b]) < t]
+    )
     far_set = set(far)
     worst = 0.0
     seen: set[frozenset[int]] = set()
@@ -1114,21 +1148,10 @@ def measure_correlation_decay(
             continue
         seen.add(frozen)
         blocked = matched_vertices(graph, frozen)
-        region = [
-            v for v in range(graph.n) if 0 <= dist[v] <= t and v not in blocked
-        ]
-        index = {v: i for i, v in enumerate(region)}
-        sub_edges = []
-        sub_lam = []
-        new_eid = None
-        for f, (a, b) in enumerate(graph.endpoints):
-            if a in index and b in index and min(dist[a], dist[b]) <= t - 1:
-                if f == eid:
-                    new_eid = len(sub_edges)
-                sub_edges.append((index[a], index[b]))
-                sub_lam.append(model.activities[f])
-        sub = HardCoreModel(Multigraph(len(region), sub_edges), sub_lam)
-        assert new_eid is not None
-        cond = exact_marginals(sub)[new_eid]
-        worst = max(worst, abs(cond / base - 1.0))
+        sub = induced_subgraph(
+            near, [v for v in range(graph.n) if 0 <= dist[v] <= t and v not in blocked]
+        )
+        host = [near_ids[j] for j in sub.edge_ids]
+        cond = exact_marginals(HardCoreModel(sub.graph, [model.activities[f] for f in host]))
+        worst = max(worst, abs(cond[host.index(eid)] / base - 1.0))
     return worst

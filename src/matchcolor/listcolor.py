@@ -50,9 +50,7 @@ from .hardcore import (
     HardCoreModel,
     calibrate_activities,
     draw_matching,
-    estimate_marginals,
-    exact_cap_for,
-    exact_marginals,
+    sampler_marginals,
 )
 from .localsearch import Flaw, run_with_selector
 from .rng import stream
@@ -78,7 +76,10 @@ class ListConfig:
     minimum claimed fraction per vertex and iteration (None means alpha/4, 0
     disables).  ``list_floor`` stops iterating once some uncolored edge's
     remaining list shrinks to that size, leaving the rest to the greedy pass
-    while its lists still beat its degrees.  Calibration and chain-estimated
+    while its lists still beat its degrees.  ``sampler`` is "exact", "chain"
+    or "auto", as in ``GsConfig``: under "auto" a color's calibration, draws
+    and marginals are exact while its compiled DAG fits ``hardcore``'s node
+    budget, and come from the chain past it.  Calibration and chain-estimated
     marginals run at fixed settings: ``CALIBRATION_MAX_ITERS``,
     ``MARGINAL_SAMPLES`` and ``ESTIMATION_BUDGET``.
     """
@@ -134,7 +135,6 @@ class IterationContext:
     eq: dict[tuple[int, int], float]
     alpha: float
     k_hat: float
-    estimated: bool
     radius: int
     cfg: ListConfig
     iteration: int
@@ -190,27 +190,6 @@ def _color_model(
     return HardCoreModel(sub, [acts[h] for h in kept]), kept
 
 
-def _color_marginals(
-    model: HardCoreModel,
-    kept: tuple[int, ...],
-    cfg: ListConfig,
-    rng: np.random.Generator,
-) -> tuple[dict[int, float], bool]:
-    """Marginals of a color model's hard-core law, host-keyed.
-
-    Returns (marginals, estimated) where estimated means chain frequencies
-    rather than exact values.
-    """
-    cap = exact_cap_for(cfg.sampler)
-    if len(model.pairs) <= cap:
-        local = exact_marginals(model, cap=cap)
-        return {h: local[j] for j, h in enumerate(kept)}, False
-    local = estimate_marginals(
-        model, ChainConfig(steps=cfg.chain_steps), MARGINAL_SAMPLES, rng=rng
-    )
-    return {h: local[j] for j, h in enumerate(kept)}, True
-
-
 def init_iteration(
     graph: Multigraph,
     g_edges: dict[int, tuple[int, ...]],
@@ -231,7 +210,6 @@ def init_iteration(
     acts: dict[int, dict[int, float]] = {}
     margs: dict[int, dict[int, float]] = {}
     k_hats: list[float] = []
-    estimated = False
     # Colors with the same edge set (e.g. identical lists everywhere) have the
     # same targets 1/|L_e|: they check chi* and calibrate once and share the
     # fitted model, whose compiled DAG then serves all their draws.
@@ -257,7 +235,7 @@ def init_iteration(
                     targets,
                     max_iters=CALIBRATION_MAX_ITERS,
                     chain=ChainConfig(steps=cfg.chain_steps),
-                    exact_cap=exact_cap_for(cfg.sampler),
+                    sampler=cfg.sampler,
                     rng=stream(cfg.master_seed, "iter", iteration, "calibrate", c),
                 )
                 got = calib_cache[edges] = (kept, calib)
@@ -266,15 +244,12 @@ def init_iteration(
             acts[c] = {h: calib.activities[j] for j, h in enumerate(kept)}
             margs[c] = {h: calib.achieved[j] for j, h in enumerate(kept)}
             k_hats.append(calib.k_hat)
-            estimated |= calib.method == "mcmc"
         else:
             acts[c] = {h: prev_activities[c][h] for h in edges}
-            models[c] = _color_model(graph, edges, acts[c])
-            m_host, est = _color_marginals(
-                *models[c], cfg, stream(cfg.master_seed, "iter", iteration, "marginals", c)
-            )
-            margs[c] = m_host
-            estimated |= est
+            model, kept = models[c] = _color_model(graph, edges, acts[c])
+            rng = stream(cfg.master_seed, "iter", iteration, "marginals", c)
+            local, _ = sampler_marginals(model, cfg.sampler, cfg.chain_steps, MARGINAL_SAMPLES, rng)
+            margs[c] = {h: local[j] for j, h in enumerate(kept)}
     ledger: dict[int, float] = {}
     colors_of: dict[int, list[int]] = {}
     for c in colors:
@@ -296,7 +271,6 @@ def init_iteration(
         eq=eq,
         alpha=alpha,
         k_hat=max(k_hats, default=1.0),
-        estimated=estimated,
         radius=radius,
         cfg=cfg,
         iteration=iteration,
@@ -372,18 +346,18 @@ def post_removal_edges(ctx: IterationContext, state: ColorState) -> dict[int, tu
 def _sigma_post(
     ctx: IterationContext, gprime: dict[int, tuple[int, ...]], rng: np.random.Generator
 ) -> tuple[dict[int, float], bool]:
+    cfg = ctx.cfg
     totals: dict[int, float] = {}
     estimated = False
     for c in ctx.colors:
         edges = gprime.get(c, ())
         if not edges:
             continue
-        margs, est = _color_marginals(
-            *_color_model(ctx.graph, edges, ctx.activities[c]), ctx.cfg, rng
-        )
+        model, kept = _color_model(ctx.graph, edges, ctx.activities[c])
+        local, est = sampler_marginals(model, cfg.sampler, cfg.chain_steps, MARGINAL_SAMPLES, rng)
         estimated |= est
-        for e, m in margs.items():
-            totals[e] = totals.get(e, 0.0) + m
+        for j, e in enumerate(kept):
+            totals[e] = totals.get(e, 0.0) + local[j]
     return totals, estimated
 
 

@@ -97,9 +97,10 @@ def banded_multigraph(
 ) -> Multigraph:
     """A cycle skeleton with a few chords and heavy edge multiplicities.
 
-    The number of distinct endpoint pairs stays at most n_hi + chords, so the
-    exact partition-function path applies throughout, while the host edge
-    count and the maximum degree scale with the multiplicities.  Degrees are
+    The number of distinct endpoint pairs stays at most n_hi + chords, and
+    the compiled partition-function DAG a few nodes per vertex, so the exact
+    path applies throughout, while the host edge count and the maximum
+    degree scale with the multiplicities.  Degrees are
     clamped to delta_max by reducing the heaviest incident bundle.
     """
     rng = random.Random(seed)

@@ -155,7 +155,7 @@ def test_sample_exact_deterministic(tmp_path, capsys):
 
 def test_sample_exact_beyond_the_auto_cap(tmp_path, capsys):
     """``--exact`` is exact at any size, like ``sampler="exact"`` in the
-    pipelines: a 70-edge path exceeds the 64-edge cap of "auto"."""
+    pipelines: a 70-edge path, past the 64-edge cap "auto" once had."""
     g = path_graph(70)
     path = write_graph(tmp_path, g)
     code, out, err = run(capsys, ["sample", path, "--exact", "--count", "3"])

@@ -20,7 +20,14 @@ from matchcolor.errors import CapacityError, GreedyBlockedError, LocalSearchErro
 from matchcolor.graphs import Multigraph, is_matching, validate_coloring
 from matchcolor.hardcore import HardCoreModel, exact_marginals
 
-from support import gs_instance, path_graph, shannon, star_multigraph, sweep_corpus
+from support import (
+    banded_multigraph,
+    gs_instance,
+    path_graph,
+    shannon,
+    star_multigraph,
+    sweep_corpus,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +281,34 @@ def test_color_multigraph_computes_chi_star_once_per_graph(monkeypatch):
     assert len(searched) == len(stats["rounds"]) + 1
 
 
-def test_exact_sampler_draws_beyond_exact_cap():
-    # sampler="exact" walks the DAG at any size: a 72-vertex path has 71
-    # collapsed edges, above EXACT_CAP, and every draw stays exact.
-    g = path_graph(71)
-    assert g.m > hardcore.EXACT_CAP
-    cfg = GsConfig(epsilon=0.5, chi0_override=2, sampler="exact", t_override=2)
+def test_auto_colors_a_graph_over_64_edges_exactly(monkeypatch):
+    # "auto" budgets the exact path by DAG nodes, not collapsed edges: this
+    # banded graph has 83 collapsed edges but a DAG of a few hundred nodes,
+    # so at criterion-8 settings every calibration is exact, no draw runs
+    # the chain, and the coloring is sampler="exact"'s.
+    g = banded_multigraph(5, 80, 80, 40, 8, 18)
+    assert len(HardCoreModel(g, [1.0] * g.m).pairs) == 83
+    methods = []
+
+    def recording_calibrate(*args, **kwargs):
+        result = hardcore.calibrate_activities(*args, **kwargs)
+        methods.append(result.method)
+        return result
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a draw ran the chain sampler")
+
+    monkeypatch.setattr(colorer, "calibrate_activities", recording_calibrate)
+    monkeypatch.setattr(hardcore, "sample_matching", no_chain)
+    cfg = GsConfig(epsilon=0.5, master_seed=5, chi0_override=10, t_override=2, step_cap=3000)
     coloring, stats = color_multigraph(g, cfg)
     assert validate_coloring(g, coloring).ok
     assert len(coloring) == g.m
-    assert stats["rounds"]
+    assert methods and set(methods) == {"exact"}
+    exact_cfg = GsConfig(
+        epsilon=0.5, master_seed=5, chi0_override=10, t_override=2, step_cap=3000, sampler="exact"
+    )
+    assert color_multigraph(g, exact_cfg) == (coloring, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -23,9 +24,9 @@ from matchcolor import (
     sample_matching_recursive,
     stream,
 )
-from matchcolor.errors import CapacityError
+from matchcolor import hardcore
 from matchcolor.graphs import Multigraph, induced_subgraph, is_matching
-from matchcolor.hardcore import default_steps, estimate_marginals
+from matchcolor.hardcore import default_steps, draw_matching, estimate_marginals, sampler_marginals
 from matchcolor.oracle import enumerate_matchings, exact_distribution, tv_distance
 from support import (
     cubic_graph,
@@ -93,10 +94,33 @@ def test_partition_function_matches_enumeration():
         assert math.isclose(log_partition_function(model), math.log(z), rel_tol=1e-12)
 
 
-def test_partition_function_cap():
-    g = path_graph(65)
-    with pytest.raises(CapacityError):
-        log_partition_function(HardCoreModel(g, [1.0] * g.m))
+def _no_chain(*args, **kwargs):
+    raise AssertionError("the chain sampler ran")
+
+
+def test_explicit_exact_calls_have_no_budget(monkeypatch):
+    # log Z, marginals and draws called directly are exact at any size, and
+    # sampler="exact" never falls back: not even with both "auto" budgets
+    # at one node.
+    monkeypatch.setattr(hardcore, "AUTO_NODE_BUDGET", 1)
+    monkeypatch.setattr(hardcore, "AUTO_SWEEP_BUDGET", 1)
+    monkeypatch.setattr(hardcore, "sample_matching", _no_chain)
+    monkeypatch.setattr(hardcore, "estimate_marginals", _no_chain)
+    g = path_graph(70)  # 71 vertices: F(72) matchings
+    model = HardCoreModel(g, [1.0] * g.m)
+    a, b = 1, 1
+    for _ in range(70):
+        a, b = b, a + b
+    assert math.isclose(log_partition_function(model), math.log(b), rel_tol=1e-12)
+    assert calibrate_activities(g, Fraction(1, 4), sampler="exact").method == "exact"
+    margs, estimated = sampler_marginals(model, "exact", None, 10, stream(0, "m"))
+    assert not estimated
+    assert margs == exact_marginals(model)
+    region = frozenset(range(20, 40))
+    for i in range(3):
+        assert is_matching(g, draw_matching(model, "exact", None, stream(0, "d", i)))
+        part = draw_matching(model, "exact", None, stream(0, "r", i), region)
+        assert all(set(g.endpoints[e]) <= region for e in part)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +282,61 @@ def test_bundle_covariance_matches_enumeration(graph, region):
     assert max(abs(a - b) for ra, rb in zip(got, want) for a, b in zip(ra, rb)) <= 1e-12
 
 
-def test_region_draw_cap_counts_region_edges():
-    g = path_graph(21)
-    model = HardCoreModel(g, [1.0] * g.m)
-    with pytest.raises(CapacityError):
-        sample_matching_recursive(model, stream(0, "x"), cap=20)
-    region = frozenset(range(11))  # 10 edges
-    assert is_matching(g, sample_matching_recursive(model, stream(0, "x"), cap=10, region=region))
-    with pytest.raises(CapacityError):
-        sample_matching_recursive(model, stream(0, "x"), cap=9, region=region)
+def test_auto_falls_back_to_the_chain_past_its_node_budget(monkeypatch):
+    # With the "auto" budget below the DAG's size, calibration takes the
+    # chain path, and full draws, region draws and marginals run the chain.
+    # A failed compile keeps the nodes it made and never adds more, so the
+    # DAG does not grow over repeated draws.
+    chain_models = []
+    chain = hardcore.sample_matching
+
+    def counting_chain(model, *args, **kwargs):
+        chain_models.append(model.graph.m)
+        return chain(model, *args, **kwargs)
+
+    monkeypatch.setattr(hardcore, "AUTO_NODE_BUDGET", 3)
+    monkeypatch.setattr(hardcore, "sample_matching", counting_chain)
+    g = cycle_graph(8)
+    calib = calibrate_activities(
+        g, Fraction(1, 4), samples=200, chain=ChainConfig(steps=60), rng=stream(1, "fit")
+    )
+    assert calib.method == "mcmc"
+    model = calib.model
+    dag = model.dag()
+    region = frozenset(range(5))
+    sizes = []
+    for i in range(4):
+        chain_models.clear()
+        full = draw_matching(model, "auto", 60, stream(2, "full", i))
+        part = draw_matching(model, "auto", 60, stream(2, "region", i), region)
+        assert chain_models == [g.m, 4]  # the region's submodel is a 4-edge path
+        assert is_matching(g, full) and is_matching(g, part)
+        assert all(set(g.endpoints[e]) <= region for e in part)
+        sizes.append(len(dag.val))
+    assert sizes == [3] * 4
+    margs, estimated = sampler_marginals(model, "auto", 60, 20, stream(3, "m"))
+    assert estimated
+    assert set(margs) == set(range(g.m))
+    assert len(dag.val) == 3
+
+
+def test_calibration_budget_counts_nodes_times_slots(monkeypatch):
+    # Calibration's tangent sweep keeps a slot-wide vector per node, so
+    # "auto" calibrates exactly only while nodes x slots fits its sweep
+    # budget; draws keep the node budget and stay exact.
+    g = cycle_graph(8)
+    dag = HardCoreModel(g, [1.0] * g.m).dag()
+    dag.node(dag.full)
+    cells = len(dag.val) * g.m
+    monkeypatch.setattr(hardcore, "AUTO_SWEEP_BUDGET", cells)
+    assert calibrate_activities(g, Fraction(1, 4)).method == "exact"
+    monkeypatch.setattr(hardcore, "AUTO_SWEEP_BUDGET", cells - 1)
+    calib = calibrate_activities(
+        g, Fraction(1, 4), samples=200, chain=ChainConfig(steps=60), rng=stream(1, "fit")
+    )
+    assert calib.method == "mcmc"
+    monkeypatch.setattr(hardcore, "sample_matching", _no_chain)
+    assert is_matching(g, draw_matching(calib.model, "auto", None, stream(2, "d")))
 
 
 @given(st.integers(min_value=0, max_value=500))
@@ -631,7 +701,7 @@ def test_calibration_chain_path():
     r = calibrate_activities(
         path_graph(1),
         Fraction(1, 2),
-        exact_cap=-1,
+        sampler="chain",
         samples=400,
         chain=ChainConfig(steps=40),
         rng=stream(31, "mcmc-cal"),
@@ -639,6 +709,26 @@ def test_calibration_chain_path():
     )
     assert r.method == "mcmc"
     assert abs(r.activities[0] - 1.0) < 0.5
+
+
+def test_chain_calibration_ends_within_its_noise():
+    # A 6-cycle with every edge tripled, plus a chord, at target 1/8: 400
+    # samples carry a standard error of about 0.017 per edge, so a fixed tol
+    # of 1e-2 was never met and the fit ran toward its iteration cap.  The
+    # default tol now sits at three standard errors, and the fit ends.
+    g = Multigraph(6, [(i, (i + 1) % 6) for i in range(6) for _ in range(3)] + [(0, 3)])
+    start = time.process_time()
+    try:
+        r = calibrate_activities(
+            g, Fraction(1, 8), max_iters=4000, chain=ChainConfig(steps=400), samples=400,
+            sampler="chain",
+        )
+    except CalibrationError as err:
+        r = err.best
+    else:
+        assert r.max_error <= 3.0 * math.sqrt(1 / 8 * 7 / 8 / 400)
+    assert time.process_time() - start < 10.0
+    assert r.method == "mcmc"
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +751,8 @@ def test_decay_bounded_and_deterministic():
 
 
 def test_decay_is_exact_up_to_the_exact_cap(monkeypatch):
-    """Conditionings come from exact DAG walks at every size the exact base
-    marginal allows (here 30 edges), never from the chain."""
-    import matchcolor.hardcore as hardcore
-
+    """Conditionings come from exact DAG walks at every size (here 30
+    edges), never from the chain."""
     def no_chain(*args, **kwargs):
         raise AssertionError("correlation decay ran the chain sampler")
 

@@ -61,3 +61,30 @@ def test_no_function_local_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 }
     assert sorted(offenders) == []
+
+
+def test_only_hardcore_decides_exact_vs_chain():
+    """The exact-or-chain decision sits in ``hardcore``: no other module
+    reaches for the exact marginals, the chain estimate or the sampler
+    budgets, by import or by attribute; ``__init__`` re-exports are exempt."""
+    policy = {
+        "exact_marginals",
+        "estimate_marginals",
+        "_node_budget",
+        "AUTO_NODE_BUDGET",
+        "AUTO_SWEEP_BUDGET",
+    }
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("__init__.py", "hardcore.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in names if name in policy]
+    assert offenders == []

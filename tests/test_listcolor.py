@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from matchcolor import InfeasibleTargetError, ListConfig, list_edge_color, stream
 from matchcolor import hardcore
 from matchcolor.graphs import Multigraph, is_matching, validate_coloring
-from matchcolor.hardcore import EXACT_CAP, HardCoreModel, exact_marginals
 from matchcolor.listcolor import (
     ColorState,
     IterationContext,
-    _color_marginals,
     build_color_subgraphs,
     claimed_edges,
     claims_by_edge,
@@ -130,7 +128,6 @@ def test_init_iteration_calibrates_to_list_reciprocals(c5_ctx):
     # Ledger sums the three per-color marginals.
     for e in range(g.m):
         assert ctx.ledger_total[e] == pytest.approx(1.0, abs=5e-6)
-    assert ctx.estimated is False
     assert ctx.k_hat > 0.0
 
 
@@ -142,17 +139,6 @@ def test_init_iteration_equalizer_table(c5_ctx):
     expect = (0.4 - q) / (1 - q)
     for key, val in ctx.eq.items():
         assert val == pytest.approx(expect, abs=1e-5)
-
-
-def test_exact_sampler_marginals_beyond_exact_cap():
-    # sampler="exact" computes a color's marginals exactly at any size,
-    # without falling back to chain estimates above EXACT_CAP.
-    g = path_graph(EXACT_CAP + 6)
-    model = HardCoreModel(g, [1.0] * g.m)
-    kept = tuple(range(g.m))
-    margs, estimated = _color_marginals(model, kept, ListConfig(sampler="exact"), stream(0, "m"))
-    assert not estimated
-    assert margs == exact_marginals(model, cap=g.m)
 
 
 def test_init_iteration_infeasible_lists():
@@ -195,7 +181,6 @@ def hand_context():
         eq={},
         alpha=0.5,
         k_hat=1.0,
-        estimated=False,
         radius=1,
         cfg=cfg,
         iteration=1,
