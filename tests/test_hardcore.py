@@ -98,20 +98,29 @@ def _no_chain(*args, **kwargs):
     raise AssertionError("the chain sampler ran")
 
 
+def test_partition_function_cap(monkeypatch):
+    # No edge cap: log Z of a 65-edge path, past the old 64-edge limit, is
+    # exact, and a direct call ignores the "auto" node budget.
+    monkeypatch.setattr(hardcore, "AUTO_NODE_BUDGET", 1)
+    g = path_graph(65)  # 66 vertices: F(67) matchings
+    a, b = 1, 1
+    for _ in range(65):
+        a, b = b, a + b
+    assert math.isclose(
+        log_partition_function(HardCoreModel(g, [1.0] * g.m)), math.log(b), rel_tol=1e-12
+    )
+
+
 def test_explicit_exact_calls_have_no_budget(monkeypatch):
-    # log Z, marginals and draws called directly are exact at any size, and
+    # Marginals and draws called directly are exact at any size, and
     # sampler="exact" never falls back: not even with both "auto" budgets
     # at one node.
     monkeypatch.setattr(hardcore, "AUTO_NODE_BUDGET", 1)
     monkeypatch.setattr(hardcore, "AUTO_SWEEP_BUDGET", 1)
     monkeypatch.setattr(hardcore, "sample_matching", _no_chain)
     monkeypatch.setattr(hardcore, "estimate_marginals", _no_chain)
-    g = path_graph(70)  # 71 vertices: F(72) matchings
+    g = path_graph(70)
     model = HardCoreModel(g, [1.0] * g.m)
-    a, b = 1, 1
-    for _ in range(70):
-        a, b = b, a + b
-    assert math.isclose(log_partition_function(model), math.log(b), rel_tol=1e-12)
     assert calibrate_activities(g, Fraction(1, 4), sampler="exact").method == "exact"
     margs, estimated = sampler_marginals(model, "exact", None, 10, stream(0, "m"))
     assert not estimated

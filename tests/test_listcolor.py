@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from matchcolor import InfeasibleTargetError, ListConfig, list_edge_color, stream
 from matchcolor import hardcore
 from matchcolor.graphs import Multigraph, is_matching, validate_coloring
+from matchcolor.hardcore import HardCoreModel, exact_marginals, sampler_marginals
 from matchcolor.listcolor import (
     ColorState,
     IterationContext,
@@ -139,6 +140,19 @@ def test_init_iteration_equalizer_table(c5_ctx):
     expect = (0.4 - q) / (1 - q)
     for key, val in ctx.eq.items():
         assert val == pytest.approx(expect, abs=1e-5)
+
+
+def test_exact_sampler_marginals_beyond_exact_cap(monkeypatch):
+    # ListConfig(sampler="exact") computes a color's marginals exactly at any
+    # size: past the old 64-edge cap and past the "auto" node budget, without
+    # falling back to chain estimates.
+    monkeypatch.setattr(hardcore, "AUTO_NODE_BUDGET", 1)
+    cfg = ListConfig(sampler="exact")
+    g = path_graph(70)
+    model = HardCoreModel(g, [1.0] * g.m)
+    margs, estimated = sampler_marginals(model, cfg.sampler, cfg.chain_steps, 10, stream(0, "m"))
+    assert not estimated
+    assert margs == exact_marginals(model)
 
 
 def test_init_iteration_infeasible_lists():
