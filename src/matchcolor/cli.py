@@ -29,6 +29,7 @@ from .errors import (
 from .fractional import chi_star
 from .graphs import Multigraph, load_multigraph, validate_coloring
 from .hardcore import (
+    SAMPLERS,
     ChainConfig,
     HardCoreModel,
     calibrate_activities,
@@ -177,10 +178,10 @@ def _cmd_sample(args) -> int:
     if args.count < 0:
         raise ValueError("count must be non-negative")
     graph = _read_graph(args.graph)
-    model = HardCoreModel(graph, _activities_for(graph, args))
-    rng = stream(args.seed, "cli", "sample")
     sampler = "exact" if args.exact else "chain"
-    out = [sorted(draw_matching(model, sampler, args.chain_steps, rng)) for _ in range(args.count)]
+    model = HardCoreModel(graph, _activities_for(graph, args), sampler, args.chain_steps)
+    rng = stream(args.seed, "cli", "sample")
+    out = [sorted(draw_matching(model, rng)) for _ in range(args.count)]
     _emit({"matchings": out})
     return 0
 
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chi0", type=int, default=None, help="greedy threshold override")
     p.add_argument("--radius", type=int, default=None, help="resample radius override")
-    p.add_argument("--sampler", choices=["auto", "exact", "chain"], default="auto")
+    p.add_argument("--sampler", choices=SAMPLERS, default="auto")
     p.add_argument("--chain-steps", type=int, default=None)
     p.add_argument("--retries", type=int, default=3)
     p.add_argument("--step-cap", type=int, default=None)
@@ -257,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--sampler", choices=["auto", "exact", "chain"], default="auto")
+    p.add_argument("--sampler", choices=SAMPLERS, default="auto")
     p.add_argument("--chain-steps", type=int, default=None)
     p.add_argument("--max-iterations", type=int, default=50)
     p.add_argument("--step-cap", type=int, default=200)

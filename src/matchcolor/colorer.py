@@ -24,12 +24,12 @@ footprint.  A round draws from the model its calibration returned
 the calibration's, and shares it across its attempts, initial draws and
 repairs.  Every draw goes through ``hardcore.draw_matching``, which walks
 that DAG from the free region's node, so no subgraph or submodel is built
-per repair (only the chain sampler, where the DAG exceeds its budget, runs
-on an induced submodel).  ``repair_radius`` plans t for both this pipeline
-and the list pipeline.  Exact action kernels and the product measure over
-matching tuples are exposed for small instances so search convergence
-certificates (charges, commutation, lopsidependency) can be evaluated
-against the same code paths.
+per repair (only the chain sampler, where the DAG would pass the model's
+node budget, runs on an induced submodel).  ``repair_radius`` plans t for
+both this pipeline and the list pipeline.  Exact action kernels and the
+product measure over matching tuples are exposed for small instances so
+search convergence certificates (charges, commutation, lopsidependency) can
+be evaluated against the same code paths.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .graphs import (
     restrict_edges,
 )
 from .hardcore import (
+    SAMPLERS,
     ChainConfig,
     HardCoreModel,
     calibrate_activities,
@@ -76,9 +77,9 @@ class GsConfig:
     ``epsilon`` controls the per-round excess N/(1+eps) and, through
     delta = eps/4, the calibration target and flaw thresholds.  ``chi0``
     defaults to max(64, ceil((4/eps)^4)); instances below it go straight to
-    the greedy pass.  ``sampler`` picks the matching sampler: "exact"
-    (partition-function walk), "chain" (Metropolis), or "auto" (exact while
-    the compiled DAG fits ``hardcore``'s node budget, the chain past it).
+    the greedy pass.  ``sampler`` and ``chain_steps`` set every round model's
+    sampler: "exact" (partition-function walk), "chain" (Metropolis), or
+    "auto" (exact while its DAG fits ``hardcore``'s node budget).
     Round planning calibrates at ``calibrate_activities``' default
     tolerance, sample count and ``CALIBRATION_MAX_ITERS`` iterations.
     """
@@ -95,7 +96,7 @@ class GsConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.5:
             raise ValueError(f"epsilon must lie in (0, 0.5], got {self.epsilon}")
-        if self.sampler not in ("auto", "exact", "chain"):
+        if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.retries < 1:
             raise ValueError("retries must be at least 1")
@@ -231,7 +232,7 @@ def initial_state(
     out = []
     for i in range(params.n_matchings):
         rng = stream(cfg.master_seed, "round", round_index, "attempt", attempt, "init", i)
-        out.append(draw_matching(params.model, cfg.sampler, cfg.chain_steps, rng))
+        out.append(draw_matching(params.model, rng))
     return tuple(out)
 
 
@@ -270,13 +271,13 @@ def resample_matching(
     matching: frozenset[int],
     inner: frozenset[int],
     outer: frozenset[int],
-    cfg: GsConfig,
     rng: np.random.Generator,
 ) -> frozenset[int]:
     """Keep edges clear of the inner ball, redraw hard-core on the free region.
 
     The redraw comes from ``model``'s law induced on the free region: the
-    outer ball minus the endpoints of the kept edges.
+    outer ball minus the endpoints of the kept edges, drawn under the
+    model's own sampler setting (``draw_matching``).
     """
     graph = model.graph
     frozen = frozenset(
@@ -285,19 +286,19 @@ def resample_matching(
         if graph.endpoints[eid][0] not in inner and graph.endpoints[eid][1] not in inner
     )
     region = outer - matched_vertices(graph, frozen)
-    return frozen | draw_matching(model, cfg.sampler, cfg.chain_steps, rng, region)
+    return frozen | draw_matching(model, rng, region)
 
 
 def _make_address(
-    model: HardCoreModel, cfg: GsConfig, inner: frozenset[int], outer: frozenset[int]
+    model: HardCoreModel, inner: frozenset[int], outer: frozenset[int]
 ) -> Callable[[RoundState, np.random.Generator], RoundState]:
     def address(state: RoundState, rng: np.random.Generator) -> RoundState:
-        return tuple(resample_matching(model, m, inner, outer, cfg, rng) for m in state)
+        return tuple(resample_matching(model, m, inner, outer, rng) for m in state)
 
     return address
 
 
-def make_selector(params: RoundParams, cfg: GsConfig) -> Callable[[RoundState], Flaw | None]:
+def make_selector(params: RoundParams) -> Callable[[RoundState], Flaw | None]:
     """Highest-priority present flaw: vertices in id order, then the first
     violating odd set reported by the constraint oracle.  Repairs redraw
     from the round's hard-core model."""
@@ -307,7 +308,7 @@ def make_selector(params: RoundParams, cfg: GsConfig) -> Callable[[RoundState], 
 
     def flaw(kind: str, key: tuple, core: Iterable[int]) -> Flaw:
         inner, outer, footprint = _repair_balls(graph, core, params.radius)
-        return Flaw(kind, key, footprint, _make_address(model, cfg, inner, outer))
+        return Flaw(kind, key, footprint, _make_address(model, inner, outer))
 
     def select(state: RoundState) -> Flaw | None:
         deg = _residual_degrees(graph, state)
@@ -328,7 +329,6 @@ def make_selector(params: RoundParams, cfg: GsConfig) -> Callable[[RoundState], 
 
 
 def run_round(
-    graph: Multigraph,
     params: RoundParams,
     cfg: GsConfig,
     round_index: int = 0,
@@ -340,7 +340,7 @@ def run_round(
     error from the search propagates unchanged.  ``color_multigraph``
     certifies the residual level when it measures the next round's chi*.
     """
-    select = make_selector(params, cfg)
+    select = make_selector(params)
     last_trace: RunTrace | None = None
     for attempt in range(cfg.retries):
         state = initial_state(params, cfg, round_index, attempt)
@@ -425,7 +425,7 @@ def color_multigraph(graph: Multigraph, cfg: GsConfig | None = None) -> tuple[di
             )
         if params is None:
             break
-        state, trace = run_round(current, params, cfg, round_index)
+        state, trace = run_round(params, cfg, round_index)
         for matching in state:
             for eid in sorted(matching):
                 orig = cur_to_orig[eid]
@@ -547,12 +547,9 @@ def _connected_odd_sets(graph: Multigraph, cap: int) -> list[tuple[int, ...]]:
     return out
 
 
-def round_flaw_specs(
-    graph: Multigraph, params: RoundParams, cfg: GsConfig | None = None
-) -> list[FlawSpec]:
+def round_flaw_specs(graph: Multigraph, params: RoundParams) -> list[FlawSpec]:
     """The full static flaw family with exact kernels, for verification runs:
     one spec per vertex, then one per connected odd set within the cap."""
-    cfg = cfg or GsConfig()
     thr = params.degree_threshold
     specs: list[FlawSpec] = []
 
@@ -581,7 +578,7 @@ def round_flaw_specs(
         return FlawSpec(
             name=name,
             detect=detect,
-            address=_make_address(params.model, cfg, inner, outer),
+            address=_make_address(params.model, inner, outer),
             footprint=footprint,
             kernel=resample_kernel(graph, params, core),
         )

@@ -40,13 +40,14 @@ caller passes.  How it reads that generator is part of its contract (see
 batch fix every chain draw, and with them every chain estimate and chain-path
 calibration.
 
-The sampler policy of both pipelines lives here, and only here: given a
-sampler setting, ``calibrate_activities``, ``draw_matching`` and
-``sampler_marginals`` compile the DAG within that setting's node budget
-(``_node_budget``) and run the chain when a compile would pass it.  The
-budget counts the DAG's total, and a compile stopped by it keeps the nodes
-it made (children first, so they stay valid), so a model that failed once
-fails again at once.  Called directly, the exact functions have no budget.
+A model carries its sampler setting (``SAMPLERS``), and on every call its
+DAG holds at most the setting's node budget (``_node_budget``): none under
+"chain", ``AUTO_NODE_BUDGET`` under "auto", any number under "exact".  A
+compile that would pass it raises CapacityError and keeps the nodes it made
+(children first, so they stay valid), so a model that failed once fails
+again at once; ``draw_matching``, ``sampler_marginals`` and
+``calibrate_activities`` then run the chain.  Under "auto", calibration also
+runs it once nodes x bundle slots pass ``AUTO_SWEEP_BUDGET``.
 """
 from __future__ import annotations
 
@@ -74,6 +75,9 @@ from .rng import stream
 AUTO_NODE_BUDGET = 20_000
 AUTO_SWEEP_BUDGET = 1_000_000
 
+# Sampler settings; each one's node budget is ``_node_budget``'s.
+SAMPLERS = ("auto", "exact", "chain")
+
 
 class HardCoreModel:
     """A multigraph with one strictly positive, finite activity per edge.
@@ -81,10 +85,19 @@ class HardCoreModel:
     Parallel edges form bundles: ``pairs`` lists the distinct endpoint pairs
     in sorted order, ``members[s]`` the edge ids of pair s in id order, and
     ``lam[s]`` their summed activity, the activity of pair s in the collapsed
-    simple graph.
+    simple graph.  ``sampler`` (one of ``SAMPLERS``) fixes the node budget of
+    the model's DAG, and ``chain_steps`` the steps of any chain run on it.
     """
 
-    def __init__(self, graph: Multigraph, activities: Mapping[int, float] | Sequence[float]):
+    def __init__(
+        self,
+        graph: Multigraph,
+        activities: Mapping[int, float] | Sequence[float],
+        sampler: str = "exact",
+        chain_steps: int | None = None,
+    ):
+        if sampler not in SAMPLERS:
+            raise ValueError(f"unknown sampler {sampler!r}")
         if isinstance(activities, Mapping):
             if set(activities) != set(range(graph.m)):
                 raise ValueError("activities must cover exactly the edge ids of the graph")
@@ -105,12 +118,18 @@ class HardCoreModel:
         self.pairs: list[tuple[int, int]] = sorted(bundles)
         self.members: list[list[int]] = [bundles[p] for p in self.pairs]
         self.lam: list[float] = [sum(values[eid] for eid in mem) for mem in self.members]
+        self.sampler = sampler
+        self.chain_steps = chain_steps
         self._dag: _ZDag | None = None
 
     def dag(self) -> "_ZDag":
-        """The compiled partition-function DAG, evaluated at these activities."""
+        """The compiled partition-function DAG, evaluated at these activities,
+        under the sampler's node budget (CapacityError: "chain" has none)."""
         if self._dag is None:
-            self._dag = _ZDag(self.graph.n, self.pairs, self.lam)
+            budget = _node_budget(self.sampler)
+            if not budget:
+                raise CapacityError("the chain sampler compiles no DAG")
+            self._dag = _ZDag(self.graph.n, self.pairs, self.lam, budget)
         return self._dag
 
     def edge_marginals(self, bundle: Sequence[float]) -> dict[int, float]:
@@ -148,7 +167,7 @@ class _ZDag:
     say) are added on demand.
     """
 
-    def __init__(self, n: int, pairs: Sequence[tuple[int, int]], lam: Sequence[float]):
+    def __init__(self, n: int, pairs: Sequence[tuple[int, int]], lam: Sequence[float], budget: int):
         self.nbr: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for s, (u, v) in enumerate(pairs):
             self.nbr[u].append((v, s))
@@ -173,9 +192,9 @@ class _ZDag:
         self.val: list[float] = [0.0]
         self.index: dict[int, int] = {}
         self._cum: dict[int, tuple[float, list[float]]] = {}
-        # The most nodes the DAG may hold: ``_add`` raises CapacityError
-        # past it.  Budgeted callers set it around a compile (``_within``).
-        self.budget = sys.maxsize
+        # The most nodes the DAG may hold, fixed for its life: ``_add``
+        # raises CapacityError past it.
+        self.budget = budget
 
     @staticmethod
     def mask_of(verts: Iterable[int]) -> int:
@@ -628,56 +647,27 @@ def sample_matching_recursive(
     return frozenset(_lift_bundle(model, s, rng) for s in slots)
 
 
-def _node_budget(sampler: str, slots: int | None = None) -> int:
-    """The most DAG nodes the exact path may hold under a sampler setting:
-    none for "chain" and any number for "exact".  Under "auto" a model's DAG
-    may hold ``AUTO_NODE_BUDGET`` nodes, and a calibration over ``slots``
-    bundle slots at most ``AUTO_SWEEP_BUDGET // slots`` of them, since its
-    tangent sweep keeps a slot-wide vector per node."""
-    if sampler == "chain":
-        return 0
-    if sampler == "exact":
-        return sys.maxsize
-    if slots is None:
-        return AUTO_NODE_BUDGET
-    return min(AUTO_NODE_BUDGET, AUTO_SWEEP_BUDGET // slots)
-
-
-def _within(model: HardCoreModel, budget: int, exact: Callable[[_ZDag], object]):
-    """``exact(model.dag())``, or None when that would take the DAG past
-    ``budget`` nodes; a budget of 0 compiles nothing.  A failed draw takes no
-    random number, because a walk starts only once its root is compiled."""
-    if not budget:
-        return None
-    dag = model.dag()
-    dag.budget = budget
-    try:
-        return exact(dag)
-    except CapacityError:
-        return None
-    finally:
-        dag.budget = sys.maxsize
+def _node_budget(sampler: str) -> int:
+    """The most nodes a model's DAG may hold under its sampler setting: none
+    for "chain", ``AUTO_NODE_BUDGET`` for "auto", any number for "exact"."""
+    return {"chain": 0, "auto": AUTO_NODE_BUDGET}.get(sampler, sys.maxsize)
 
 
 def draw_matching(
-    model: HardCoreModel,
-    sampler: str,
-    chain_steps: int | None,
-    rng: np.random.Generator,
-    region: frozenset[int] | None = None,
+    model: HardCoreModel, rng: np.random.Generator, region: frozenset[int] | None = None
 ) -> frozenset[int]:
     """One hard-core draw from ``model``, or from its law induced on ``region``.
 
-    The exact path walks the model's compiled DAG from the region's node
-    (``sample_matching_recursive``) when that node fits the sampler's node
-    budget.  Otherwise the chain runs on the model itself, or on a submodel
-    induced on the region.
+    The exact path walks the model's DAG from the region's node
+    (``sample_matching_recursive``).  When compiling that node would pass the
+    model's node budget, the chain runs ``model.chain_steps`` steps on the
+    model itself, or on a submodel induced on the region.  A failed walk
+    takes no random number, because it starts only once its root is compiled.
     """
-    budget = _node_budget(sampler)
-    got = _within(model, budget, lambda dag: sample_matching_recursive(model, rng, region))
-    if got is not None:
-        return got
-    chain = ChainConfig(steps=chain_steps)
+    try:
+        return sample_matching_recursive(model, rng, region)
+    except CapacityError:
+        chain = ChainConfig(steps=model.chain_steps)
     if region is None:
         return sample_matching(model, chain, rng=rng)
     sub = induced_subgraph(model.graph, region)
@@ -686,22 +676,19 @@ def draw_matching(
 
 
 def sampler_marginals(
-    model: HardCoreModel,
-    sampler: str,
-    chain_steps: int | None,
-    samples: int,
-    rng: np.random.Generator,
+    model: HardCoreModel, samples: int, rng: np.random.Generator
 ) -> tuple[dict[int, float], bool]:
     """Every edge's marginal and whether the values are chain estimates.
 
     Exact from the DAG's reverse sweep (``exact_marginals``) when the DAG fits
-    the sampler's node budget; otherwise occupancy frequencies over
-    ``samples`` chain runs (``estimate_marginals``).
+    the model's node budget; otherwise occupancy frequencies over ``samples``
+    chain runs of ``model.chain_steps`` steps (``estimate_marginals``).
     """
-    got = _within(model, _node_budget(sampler), lambda dag: exact_marginals(model))
-    if got is not None:
-        return got, False
-    return estimate_marginals(model, ChainConfig(steps=chain_steps), samples, rng=rng), True
+    try:
+        return exact_marginals(model), False
+    except CapacityError:
+        chain = ChainConfig(steps=model.chain_steps)
+    return estimate_marginals(model, chain, samples, rng=rng), True
 
 
 def estimate_marginals(
@@ -729,9 +716,10 @@ def estimate_marginals(
 class CalibrationResult:
     """A fit's per-edge activities and achieved marginals.
 
-    ``model`` is the hard-core model at the fitted activities.  On the exact
-    path it holds the fit's compiled DAG, evaluated at those activities, so
-    drawing from it or reading its marginals compiles nothing.
+    ``model`` is the hard-core model at the fitted activities, under the
+    fit's sampler setting.  On the exact path it holds the fit's compiled
+    DAG, evaluated at those activities, so drawing from it or reading its
+    marginals compiles nothing.
     """
 
     activities: dict[int, float]
@@ -961,9 +949,12 @@ def calibrate_activities(
 
     ``target`` is a single rational marginal for every edge, or a mapping from
     edge id to its target.  Marginals come from the exact path when the
-    compiled DAG fits ``sampler``'s calibration budget (``_node_budget``), and
-    from chain estimates otherwise.  ``initial`` warm-starts the activities
-    (useful when recalibrating after small edits).
+    starting model's DAG fits ``sampler``'s node budget (``_node_budget``)
+    and, under "auto", its nodes times bundle slots fit ``AUTO_SWEEP_BUDGET``
+    (the tangent sweep keeps a slot-wide vector per node); otherwise from
+    chain estimates.  The fitted model carries ``sampler`` and ``chain``'s
+    step count.  ``initial`` warm-starts the activities (useful when
+    recalibrating after small edits).
 
     The exact path runs damped Newton on the convex max-entropy dual
     log Z - sum_e t_e log lambda_e (``_newton_fit``), with the exact Hessian
@@ -985,8 +976,10 @@ def calibrate_activities(
     the exact path a target on or outside the matching polytope's boundary
     ends it early, once the dual's Hessian degenerates.
     """
+    chain = chain or ChainConfig()
     if graph.m == 0:
-        return CalibrationResult({}, {}, 0.0, 0, 0.0, "exact", HardCoreModel(graph, []))
+        empty = HardCoreModel(graph, [], sampler, chain.steps)
+        return CalibrationResult({}, {}, 0.0, 0, 0.0, "exact", empty)
     if isinstance(target, Mapping):
         targets = {eid: _as_fraction(t) for eid, t in target.items()}
         if set(targets) != set(range(graph.m)):
@@ -1019,14 +1012,17 @@ def calibrate_activities(
             if eid in lam and math.isfinite(val) and val > 0.0:
                 lam[eid] = float(val)
 
-    start = HardCoreModel(graph, lam)
+    start = HardCoreModel(graph, lam, sampler, chain.steps)
     # Compiled once; each exact iteration sweeps it (``_newton_fit``).
-    root = _within(start, _node_budget(sampler, len(start.pairs)), lambda dag: dag.node(dag.full))
-    exact = root is not None
+    try:
+        dag = start.dag()
+        root = dag.node(dag.full)
+        exact = sampler != "auto" or len(dag.val) * len(start.pairs) <= AUTO_SWEEP_BUDGET
+    except CapacityError:
+        exact = False
     method = "exact" if exact else "mcmc"
     if tol is None:
         tol = 1e-6 if exact else 3.0 * max(math.sqrt(t * (1.0 - t) / samples) for t in tf.values())
-    chain = chain or ChainConfig()
     if not exact and rng is None:
         rng = stream(0, "calibrate")
 
@@ -1049,7 +1045,6 @@ def calibrate_activities(
         # Each bundle's member classes, in member order: bundle sums add up
         # the same floats in the same order as a per-edge sum.
         seqs = [[cls[eid] for eid in mem] for mem in start.members]
-        dag = start.dag()
 
     acts = [lam[eid] for eid in rep]
     tc = [tf[eid] for eid in rep]
@@ -1069,7 +1064,7 @@ def calibrate_activities(
     converged = stall is None
 
     k_hat = max([a / t for a, t in zip(best_acts, tc)])
-    model = HardCoreModel(graph, [best_acts[c] for c in cls])
+    model = HardCoreModel(graph, [best_acts[c] for c in cls], sampler, chain.steps)
     if exact:
         # The fit's DAG becomes the fitted model's.  The forward sweep (a no-op
         # when the last iteration was the best) gives a fresh compile's values.

@@ -45,6 +45,7 @@ from .errors import GreedyBlockedError, InfeasibleTargetError
 from .fractional import chi_star
 from .graphs import Multigraph, matched_vertices, nested_balls, restrict_edges
 from .hardcore import (
+    SAMPLERS,
     CalibrationResult,
     ChainConfig,
     HardCoreModel,
@@ -76,10 +77,10 @@ class ListConfig:
     minimum claimed fraction per vertex and iteration (None means alpha/4, 0
     disables).  ``list_floor`` stops iterating once some uncolored edge's
     remaining list shrinks to that size, leaving the rest to the greedy pass
-    while its lists still beat its degrees.  ``sampler`` is "exact", "chain"
-    or "auto", as in ``GsConfig``: under "auto" a color's calibration, draws
-    and marginals are exact while its compiled DAG fits ``hardcore``'s node
-    budget, and come from the chain past it.  Calibration and chain-estimated
+    while its lists still beat its degrees.  ``sampler`` and ``chain_steps``
+    set every color model's sampler, as in ``GsConfig``: under "auto" its
+    calibration, draws, repairs and marginals are exact while its DAG fits
+    ``hardcore``'s node budget.  Calibration and chain-estimated
     marginals run at fixed settings: ``CALIBRATION_MAX_ITERS``,
     ``MARGINAL_SAMPLES`` and ``ESTIMATION_BUDGET``.
     """
@@ -101,7 +102,7 @@ class ListConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.1:
             raise ValueError(f"epsilon must lie in (0, 0.1], got {self.epsilon}")
-        if self.sampler not in ("auto", "exact", "chain"):
+        if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.alpha_override is not None and not 0.0 < self.alpha_override <= 1.0:
             raise ValueError("alpha_override must lie in (0, 1]")
@@ -140,14 +141,11 @@ class IterationContext:
     iteration: int
     uncolored: tuple[int, ...]
     locality_audits: int = 0
-    # Per color: the hard-core model of G_i and the host ids of its edges,
-    # shared by the iteration's draw and every repair.
-    models: dict[int, tuple[HardCoreModel, tuple[int, ...]]] = field(
+    # Per color: the hard-core model of G_i, the host ids of its edges and
+    # their positions there, shared by the iteration's draw and every repair.
+    models: dict[int, tuple[HardCoreModel, tuple[int, ...], dict[int, int]]] = field(
         default_factory=dict, repr=False
     )
-
-    def index_of(self, color: int) -> int:
-        return self.colors.index(color)
 
 
 def build_color_subgraphs(graph: Multigraph, lists: ListMap) -> dict[int, tuple[int, ...]]:
@@ -182,12 +180,12 @@ def equalizer_probability(alpha: float, m_i: float, others: Iterable[float]) -> 
 
 
 def _color_model(
-    graph: Multigraph, edges: Iterable[int], acts: Mapping[int, float]
+    graph: Multigraph, edges: Iterable[int], acts: Mapping[int, float], cfg: ListConfig
 ) -> tuple[HardCoreModel, tuple[int, ...]]:
     """The hard-core model on one color subgraph (all host vertices, the
-    given edges in id order) and the host ids of its edges."""
+    given edges in id order) under ``cfg``'s sampler, and its edges' host ids."""
     sub, kept = restrict_edges(graph, edges)
-    return HardCoreModel(sub, [acts[h] for h in kept]), kept
+    return HardCoreModel(sub, [acts[h] for h in kept], cfg.sampler, cfg.chain_steps), kept
 
 
 def init_iteration(
@@ -214,7 +212,7 @@ def init_iteration(
     # same targets 1/|L_e|: they check chi* and calibrate once and share the
     # fitted model, whose compiled DAG then serves all their draws.
     calib_cache: dict[tuple[int, ...], tuple[tuple[int, ...], CalibrationResult]] = {}
-    models: dict[int, tuple[HardCoreModel, tuple[int, ...]]] = {}
+    models: dict[int, tuple[HardCoreModel, tuple[int, ...], dict[int, int]]] = {}
     for c in colors:
         edges = g_edges[c]
         if prev_activities is None:
@@ -240,16 +238,17 @@ def init_iteration(
                 )
                 got = calib_cache[edges] = (kept, calib)
             kept, calib = got
-            models[c] = (calib.model, kept)
+            model = calib.model
             acts[c] = {h: calib.activities[j] for j, h in enumerate(kept)}
             margs[c] = {h: calib.achieved[j] for j, h in enumerate(kept)}
             k_hats.append(calib.k_hat)
         else:
             acts[c] = {h: prev_activities[c][h] for h in edges}
-            model, kept = models[c] = _color_model(graph, edges, acts[c])
+            model, kept = _color_model(graph, edges, acts[c], cfg)
             rng = stream(cfg.master_seed, "iter", iteration, "marginals", c)
-            local, _ = sampler_marginals(model, cfg.sampler, cfg.chain_steps, MARGINAL_SAMPLES, rng)
+            local, _ = sampler_marginals(model, MARGINAL_SAMPLES, rng)
             margs[c] = {h: local[j] for j, h in enumerate(kept)}
+        models[c] = (model, kept, {h: j for j, h in enumerate(kept)})
     ledger: dict[int, float] = {}
     colors_of: dict[int, list[int]] = {}
     for c in colors:
@@ -285,9 +284,9 @@ def sample_iteration(ctx: IterationContext) -> ColorState:
     ms, As, Hs = [], [], []
     for c in ctx.colors:
         edges = ctx.g_edges[c]
-        model, kept = ctx.models[c]
+        model, kept, _ = ctx.models[c]
         rng_m = stream(cfg.master_seed, "iter", ctx.iteration, "color", c, "match")
-        local = draw_matching(model, cfg.sampler, cfg.chain_steps, rng_m)
+        local = draw_matching(model, rng_m)
         ms.append(frozenset(kept[j] for j in local))
         rng_a = stream(cfg.master_seed, "iter", ctx.iteration, "color", c, "activate")
         As.append(frozenset(e for e in edges if rng_a.random() < ctx.alpha))
@@ -296,14 +295,14 @@ def sample_iteration(ctx: IterationContext) -> ColorState:
     return ColorState(tuple(ms), tuple(As), tuple(Hs))
 
 
-def claimed_edges(ctx: IterationContext, state: ColorState) -> list[frozenset[int]]:
+def claimed_edges(state: ColorState) -> list[frozenset[int]]:
     """F_i = M_i restricted to set activation bits, per color slot."""
     return [m & a for m, a in zip(state.matchings, state.active)]
 
 
 def claims_by_edge(ctx: IterationContext, state: ColorState) -> dict[int, list[int]]:
     out: dict[int, list[int]] = {}
-    for idx, f in enumerate(claimed_edges(ctx, state)):
+    for idx, f in enumerate(claimed_edges(state)):
         for e in f:
             out.setdefault(e, []).append(ctx.colors[idx])
     return {e: sorted(cs) for e, cs in out.items()}
@@ -313,13 +312,13 @@ def equalized_event(ctx: IterationContext, state: ColorState, e: int, c: int) ->
     """Edge e departs G_c this iteration the equalized way: uniquely claimed
     by c, or equalizer-removed."""
     claims = claims_by_edge(ctx, state)
-    idx = ctx.index_of(c)
+    idx = ctx.colors.index(c)
     return claims.get(e) == [c] or e in state.held[idx]
 
 
 def post_removal_edges(ctx: IterationContext, state: ColorState) -> dict[int, tuple[int, ...]]:
     """Next iteration's color subgraphs under the three removal rules."""
-    f_sets = claimed_edges(ctx, state)
+    f_sets = claimed_edges(state)
     v_sets = [matched_vertices(ctx.graph, f) for f in f_sets]
     claimed_any: dict[int, set[int]] = {}
     for idx, f in enumerate(f_sets):
@@ -346,15 +345,14 @@ def post_removal_edges(ctx: IterationContext, state: ColorState) -> dict[int, tu
 def _sigma_post(
     ctx: IterationContext, gprime: dict[int, tuple[int, ...]], rng: np.random.Generator
 ) -> tuple[dict[int, float], bool]:
-    cfg = ctx.cfg
     totals: dict[int, float] = {}
     estimated = False
     for c in ctx.colors:
         edges = gprime.get(c, ())
         if not edges:
             continue
-        model, kept = _color_model(ctx.graph, edges, ctx.activities[c])
-        local, est = sampler_marginals(model, cfg.sampler, cfg.chain_steps, MARGINAL_SAMPLES, rng)
+        model, kept = _color_model(ctx.graph, edges, ctx.activities[c], ctx.cfg)
+        local, est = sampler_marginals(model, MARGINAL_SAMPLES, rng)
         estimated |= est
         for j, e in enumerate(kept):
             totals[e] = totals.get(e, 0.0) + local[j]
@@ -362,36 +360,45 @@ def _sigma_post(
 
 
 def _fix_address(ctx: IterationContext, core: frozenset[int]):
-    cfg = ctx.cfg
+    audit = ctx.cfg.audit_locality
 
     def address(state: ColorState, rng: np.random.Generator) -> ColorState:
         ms = list(state.matchings)
         As = list(state.active)
         Hs = list(state.held)
         for idx, c in enumerate(ctx.colors):
-            edges = ctx.g_edges[c]
             # The color's own model, as drawn from by sample_iteration; its
             # balls are taken in G_i's metric, from one distance map.
-            model, kept = ctx.models[c]
-            pos = {h: j for j, h in enumerate(kept)}
-            inner, outer = nested_balls(model.graph, core, (ctx.radius, ctx.radius + 1))
+            model, kept, pos = ctx.models[c]
+            g = model.graph
+            if not any(g.incidence[v] for v in core):
+                # No edge of G_i at the core: both balls are the core itself, and
+                # a redraw there and its bits would change nothing and use no
+                # random number.
+                if audit:
+                    ctx.locality_audits += 1
+                continue
+            inner, outer = nested_balls(g, core, (ctx.radius, ctx.radius + 1))
             local_m = frozenset(pos[h] for h in state.matchings[idx])
-            new_local = resample_matching(model, local_m, inner, outer, cfg, rng)
+            new_local = resample_matching(model, local_m, inner, outer, rng)
             ms[idx] = frozenset(kept[j] for j in new_local)
             a = set(As[idx])
             h = set(Hs[idx])
-            for e in edges:
-                u, v = ctx.graph.endpoints[e]
-                if u in outer and v in outer:
-                    a.discard(e)
-                    if rng.random() < ctx.alpha:
-                        a.add(e)
-                    h.discard(e)
-                    if rng.random() < ctx.eq[(c, e)]:
-                        h.add(e)
+            # G_i's edges inside the outer ball re-flip both bits, in host-id
+            # order (positions follow host ids).
+            ends = g.endpoints
+            inside = {j for v in outer for j in g.incidence[v] if outer.issuperset(ends[j])}
+            for j in sorted(inside):
+                e = kept[j]
+                a.discard(e)
+                if rng.random() < ctx.alpha:
+                    a.add(e)
+                h.discard(e)
+                if rng.random() < ctx.eq[(c, e)]:
+                    h.add(e)
             As[idx] = frozenset(a)
             Hs[idx] = frozenset(h)
-            if cfg.audit_locality:
+            if audit:
                 changed = (
                     (state.matchings[idx] ^ ms[idx])
                     | (state.active[idx] ^ As[idx])
@@ -524,8 +531,7 @@ def list_edge_color(
         hit_pairs = 0
         edge_live: dict[int, int] = {}
         edge_hits: dict[int, int] = {}
-        for c in ctx.colors:
-            idx = ctx.index_of(c)
+        for idx, c in enumerate(ctx.colors):
             for e in ctx.g_edges[c]:
                 if e not in select.uncolored_set:
                     continue
@@ -534,13 +540,12 @@ def list_edge_color(
                 if claims.get(e) == [c] or e in final.held[idx]:
                     edge_hits[e] = edge_hits.get(e, 0) + 1
                     hit_pairs += 1
-        eligible_set = set(edge_live)
         pre_commit = len(coloring)
         for e, cs in claims.items():
             if e not in coloring:
                 coloring[e] = cs[0]
         newly = len(coloring) - pre_commit
-        eligible = len(eligible_set)
+        eligible = len(edge_live)
         if live_pairs:
             # Cluster-robust standard error of the claim rate: edges are the
             # independent units; claims for one edge across colors may disperse

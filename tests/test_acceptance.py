@@ -202,7 +202,7 @@ def test_criterion_06_charges_and_lopsidependency(capsys):
             assert params.n_matchings == 1
             mu = round_measure(g, params)
             assert abs(sum(mu.values()) - 1.0) <= 1e-9
-            specs = round_flaw_specs(g, params, cfg)
+            specs = round_flaw_specs(g, params)
             assert len(specs) <= 12
             report = estimate_charges_exact(specs, mu)
             assert report.identity_gap <= 1e-12
@@ -224,7 +224,7 @@ def test_criterion_07_operator_commutation(capsys):
             states = list(round_measure(g, params, cap=cap))
             by_vertex = {
                 int(s.name.split(":")[1]): s
-                for s in round_flaw_specs(g, params, cfg)
+                for s in round_flaw_specs(g, params)
                 if s.name.startswith("vertex:")
             }
             pairs = []
@@ -250,7 +250,7 @@ def test_criterion_07_operator_commutation(capsys):
         states = list(round_measure(g, params, cap=16))
         by_vertex = {
             int(s.name.split(":")[1]): s
-            for s in round_flaw_specs(g, params, cfg)
+            for s in round_flaw_specs(g, params)
             if s.name.startswith("vertex:")
         }
         for u, v in ((6, 7), (7, 8), (8, 9)):

@@ -126,12 +126,11 @@ def test_initial_state_shape_and_determinism(star_plan):
 def test_resample_matching_preserves_frozen_edges():
     g = path_graph(8)
     model = HardCoreModel(g, {e: 1.0 for e in range(g.m)})
-    cfg = GsConfig(epsilon=0.5)
     inner = frozenset({3, 4, 5})  # distance < 2 from vertex 4
     outer = frozenset({2, 3, 4, 5, 6})
     rng = stream(7, "resample")
     for _ in range(25):
-        new = resample_matching(model, frozenset({0, 7}), inner, outer, cfg, rng)
+        new = resample_matching(model, frozenset({0, 7}), inner, outer, rng)
         assert is_matching(g, new)
         # Edges clear of the inner ball survive untouched.
         assert {0, 7} <= new
@@ -142,7 +141,6 @@ def test_resample_matching_preserves_frozen_edges():
 def test_resample_matching_drops_inner_edges():
     g = path_graph(8)
     model = HardCoreModel(g, {e: 1.0 for e in range(g.m)})
-    cfg = GsConfig(epsilon=0.5)
     inner = frozenset({3, 4, 5})
     outer = frozenset({2, 3, 4, 5, 6})
     rng = stream(8, "resample")
@@ -150,7 +148,7 @@ def test_resample_matching_drops_inner_edges():
     # the redraw may or may not reinstate it.  Edge 0 is always kept.
     seen_without = False
     for _ in range(40):
-        new = resample_matching(model, frozenset({0, 4}), inner, outer, cfg, rng)
+        new = resample_matching(model, frozenset({0, 4}), inner, outer, rng)
         assert 0 in new
         if 4 not in new:
             seen_without = True
@@ -178,10 +176,10 @@ def test_plan_round_shannon3(shannon3_round):
 
 def test_run_round_reaches_flawless_state(shannon3_round):
     g, cfg, p = shannon3_round
-    state, trace = run_round(g, p, cfg)
+    state, trace = run_round(p, cfg)
     assert trace.flawless
     assert len(state) == p.n_matchings
-    assert make_selector(p, cfg)(state) is None
+    assert make_selector(p)(state) is None
     # The driver exact-verified the residual level internally (n <= 10);
     # re-check the degree component here.
     union = set().union(*state)
@@ -194,8 +192,8 @@ def test_run_round_reaches_flawless_state(shannon3_round):
 
 def test_run_round_is_deterministic(shannon3_round):
     g, cfg, p = shannon3_round
-    state1, _ = run_round(g, p, cfg)
-    state2, _ = run_round(g, p, cfg)
+    state1, _ = run_round(p, cfg)
+    state2, _ = run_round(p, cfg)
     assert state1 == state2
 
 
@@ -212,7 +210,7 @@ def test_run_round_propagates_search_bugs(shannon3_round, monkeypatch):
 
     monkeypatch.setattr(colorer, "run_with_selector", broken_search)
     with pytest.raises(ValueError) as info:
-        run_round(g, p, cfg)
+        run_round(p, cfg)
     assert info.value is bug
     assert len(calls) == 1
 
@@ -225,7 +223,7 @@ def test_run_round_retries_step_cap_exhaustion(shannon3_round, monkeypatch):
 
     monkeypatch.setattr(colorer, "run_with_selector", exhausted)
     with pytest.raises(RoundError) as info:
-        run_round(g, p, cfg)
+        run_round(p, cfg)
     assert info.value.trace == "last"
 
 
@@ -412,8 +410,8 @@ def test_round_measure_capacity(path3_round):
 
 
 def test_flaw_specs_and_charge_identity(path3_round):
-    g, cfg, p = path3_round
-    specs = round_flaw_specs(g, p, cfg)
+    g, _, p = path3_round
+    specs = round_flaw_specs(g, p)
     assert [s.name for s in specs] == [
         "vertex:0",
         "vertex:1",

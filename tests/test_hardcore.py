@@ -25,6 +25,7 @@ from matchcolor import (
     stream,
 )
 from matchcolor import hardcore
+from matchcolor.errors import CapacityError
 from matchcolor.graphs import Multigraph, induced_subgraph, is_matching
 from matchcolor.hardcore import default_steps, draw_matching, estimate_marginals, sampler_marginals
 from matchcolor.oracle import enumerate_matchings, exact_distribution, tv_distance
@@ -58,6 +59,11 @@ def test_rejects_bad_activities():
         HardCoreModel(g, [1.0, float("inf")])
     with pytest.raises(ValueError):
         HardCoreModel(g, [1.0])  # wrong length
+
+
+def test_rejects_unknown_sampler():
+    with pytest.raises(ValueError, match="unknown sampler"):
+        HardCoreModel(path_graph(2), [1.0, 1.0], sampler="magic")
 
 
 def test_parallel_bundles_collapse():
@@ -100,7 +106,8 @@ def _no_chain(*args, **kwargs):
 
 def test_partition_function_cap(monkeypatch):
     # No edge cap: log Z of a 65-edge path, past the old 64-edge limit, is
-    # exact, and a direct call ignores the "auto" node budget.
+    # exact, and a model under the default "exact" setting ignores the
+    # "auto" node budget.
     monkeypatch.setattr(hardcore, "AUTO_NODE_BUDGET", 1)
     g = path_graph(65)  # 66 vertices: F(67) matchings
     a, b = 1, 1
@@ -112,23 +119,23 @@ def test_partition_function_cap(monkeypatch):
 
 
 def test_explicit_exact_calls_have_no_budget(monkeypatch):
-    # Marginals and draws called directly are exact at any size, and
-    # sampler="exact" never falls back: not even with both "auto" budgets
-    # at one node.
+    # Under sampler="exact" calibration, marginals and draws are exact at
+    # any size and never fall back: not even with both "auto" budgets at
+    # one node.
     monkeypatch.setattr(hardcore, "AUTO_NODE_BUDGET", 1)
     monkeypatch.setattr(hardcore, "AUTO_SWEEP_BUDGET", 1)
     monkeypatch.setattr(hardcore, "sample_matching", _no_chain)
     monkeypatch.setattr(hardcore, "estimate_marginals", _no_chain)
     g = path_graph(70)
-    model = HardCoreModel(g, [1.0] * g.m)
+    model = HardCoreModel(g, [1.0] * g.m, sampler="exact")
     assert calibrate_activities(g, Fraction(1, 4), sampler="exact").method == "exact"
-    margs, estimated = sampler_marginals(model, "exact", None, 10, stream(0, "m"))
+    margs, estimated = sampler_marginals(model, 10, stream(0, "m"))
     assert not estimated
     assert margs == exact_marginals(model)
     region = frozenset(range(20, 40))
     for i in range(3):
-        assert is_matching(g, draw_matching(model, "exact", None, stream(0, "d", i)))
-        part = draw_matching(model, "exact", None, stream(0, "r", i), region)
+        assert is_matching(g, draw_matching(model, stream(0, "d", i)))
+        part = draw_matching(model, stream(0, "r", i), region)
         assert all(set(g.endpoints[e]) <= region for e in part)
 
 
@@ -316,14 +323,14 @@ def test_auto_falls_back_to_the_chain_past_its_node_budget(monkeypatch):
     sizes = []
     for i in range(4):
         chain_models.clear()
-        full = draw_matching(model, "auto", 60, stream(2, "full", i))
-        part = draw_matching(model, "auto", 60, stream(2, "region", i), region)
+        full = draw_matching(model, stream(2, "full", i))
+        part = draw_matching(model, stream(2, "region", i), region)
         assert chain_models == [g.m, 4]  # the region's submodel is a 4-edge path
         assert is_matching(g, full) and is_matching(g, part)
         assert all(set(g.endpoints[e]) <= region for e in part)
         sizes.append(len(dag.val))
     assert sizes == [3] * 4
-    margs, estimated = sampler_marginals(model, "auto", 60, 20, stream(3, "m"))
+    margs, estimated = sampler_marginals(model, 20, stream(3, "m"))
     assert estimated
     assert set(margs) == set(range(g.m))
     assert len(dag.val) == 3
@@ -345,7 +352,52 @@ def test_calibration_budget_counts_nodes_times_slots(monkeypatch):
     )
     assert calib.method == "mcmc"
     monkeypatch.setattr(hardcore, "sample_matching", _no_chain)
-    assert is_matching(g, draw_matching(calib.model, "auto", None, stream(2, "d")))
+    assert is_matching(g, draw_matching(calib.model, stream(2, "d")))
+
+
+def test_the_node_budget_is_the_models_on_every_call(monkeypatch):
+    # An "auto" model's DAG never holds more nodes than its budget: direct
+    # exact calls raise past it, draws and marginals run the chain, and
+    # repeated full and region draws add no node.  A "chain" model compiles
+    # no DAG at all.
+    chain_models = []
+    chain = hardcore.sample_matching
+
+    def counting_chain(model, *args, **kwargs):
+        chain_models.append(model.graph.m)
+        return chain(model, *args, **kwargs)
+
+    monkeypatch.setattr(hardcore, "AUTO_NODE_BUDGET", 3)
+    monkeypatch.setattr(hardcore, "sample_matching", counting_chain)
+    g = cycle_graph(8)
+    model = HardCoreModel(g, [1.0] * g.m, sampler="auto", chain_steps=60)
+    with pytest.raises(CapacityError):
+        exact_marginals(model)
+    with pytest.raises(CapacityError):
+        sample_matching_recursive(model, stream(0, "x"))
+    dag = model.dag()
+    region = frozenset(range(5))
+    for i in range(4):
+        chain_models.clear()
+        full = draw_matching(model, stream(1, "full", i))
+        part = draw_matching(model, stream(1, "region", i), region)
+        assert chain_models == [g.m, 4]
+        assert is_matching(g, full) and is_matching(g, part)
+        assert all(set(g.endpoints[e]) <= region for e in part)
+        assert len(dag.val) <= 3
+    margs, estimated = sampler_marginals(model, 5, stream(2, "m"))
+    assert estimated and set(margs) == set(range(g.m))
+    assert len(dag.val) <= 3
+
+    chain_model = HardCoreModel(g, [1.0] * g.m, sampler="chain", chain_steps=60)
+    chain_models.clear()
+    draw_matching(chain_model, stream(3, "full"))
+    draw_matching(chain_model, stream(3, "region"), region)
+    _, estimated = sampler_marginals(chain_model, 5, stream(3, "m"))
+    assert estimated
+    assert chain_models == [g.m, 4] + [g.m] * 5
+    with pytest.raises(CapacityError):
+        chain_model.dag()
 
 
 @given(st.integers(min_value=0, max_value=500))

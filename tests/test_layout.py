@@ -88,3 +88,30 @@ def test_only_hardcore_decides_exact_vs_chain():
                 continue
             offenders += [f"{path.name}:{node.lineno}: {name}" for name in names if name in policy]
     assert offenders == []
+
+
+def test_no_unread_parameters():
+    """Every parameter of every function and lambda is read in its body;
+    ``self``, ``cls`` and names starting with ``_`` are exempt."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = func.args
+            params = [
+                a.arg
+                for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                if a is not None and a.arg not in ("self", "cls") and not a.arg.startswith("_")
+            ]
+            body = func.body if isinstance(func.body, list) else [func.body]
+            read = {
+                node.id
+                for stmt in body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            name = getattr(func, "name", "lambda")
+            offenders += [f"{path.stem}.{name}:{p}" for p in params if p not in read]
+    assert offenders == []

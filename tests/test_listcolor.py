@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matchcolor import InfeasibleTargetError, ListConfig, list_edge_color, stream
-from matchcolor import hardcore
+from matchcolor import hardcore, listcolor
 from matchcolor.graphs import Multigraph, is_matching, validate_coloring
 from matchcolor.hardcore import HardCoreModel, exact_marginals, sampler_marginals
 from matchcolor.listcolor import (
@@ -26,7 +26,15 @@ from matchcolor.listcolor import (
     sample_iteration,
 )
 
-from support import cycle_graph, path_graph, star_multigraph, uniform_lists
+from support import (
+    cycle_graph,
+    list_instance,
+    list_size_for,
+    path_graph,
+    staggered_lists,
+    star_multigraph,
+    uniform_lists,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +157,40 @@ def test_exact_sampler_marginals_beyond_exact_cap(monkeypatch):
     monkeypatch.setattr(hardcore, "AUTO_NODE_BUDGET", 1)
     cfg = ListConfig(sampler="exact")
     g = path_graph(70)
-    model = HardCoreModel(g, [1.0] * g.m)
-    margs, estimated = sampler_marginals(model, cfg.sampler, cfg.chain_steps, 10, stream(0, "m"))
+    model = HardCoreModel(g, [1.0] * g.m, cfg.sampler, cfg.chain_steps)
+    margs, estimated = sampler_marginals(model, 10, stream(0, "m"))
     assert not estimated
     assert margs == exact_marginals(model)
+
+
+def test_list_repair_redraws_only_colors_with_an_edge_at_the_core(monkeypatch):
+    # A color whose subgraph has no edge at the core has nothing to redraw:
+    # one repair calls resample_matching once per color with an edge there,
+    # and still counts every color as audited.
+    g = list_instance(0)
+    lists = staggered_lists(g, list_size_for(g))
+    subs = build_color_subgraphs(g, lists)
+    cfg = ListConfig(master_seed=0, t_override=2, audit_locality=True)
+    ctx = init_iteration(g, subs, lists, cfg, 1, range(g.m), radius=2)
+    state = sample_iteration(ctx)
+    resampled = []
+    resample = listcolor.resample_matching
+
+    def counting(model, *args):
+        resampled.append(model)
+        return resample(model, *args)
+
+    monkeypatch.setattr(listcolor, "resample_matching", counting)
+    partial = 0
+    for v in range(g.n):
+        at_core = [c for c in ctx.colors if any(v in g.endpoints[e] for e in ctx.g_edges[c])]
+        partial += len(at_core) < len(ctx.colors)
+        resampled.clear()
+        audits = ctx.locality_audits
+        listcolor._fix_address(ctx, frozenset([v]))(state, stream(0, "repair", v))
+        assert len(resampled) == len(at_core)
+        assert ctx.locality_audits == audits + len(ctx.colors)
+    assert partial > 0
 
 
 def test_init_iteration_infeasible_lists():
@@ -173,7 +211,7 @@ def test_sample_iteration_structure_and_determinism(c5_ctx):
         assert state.held[idx] <= set(ctx.g_edges[c])
     again = sample_iteration(ctx)
     assert again == state
-    claims = claimed_edges(ctx, state)
+    claims = claimed_edges(state)
     for idx in range(len(ctx.colors)):
         assert claims[idx] == state.matchings[idx] & state.active[idx]
 
