@@ -235,7 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi-star", help="fractional chromatic index")
     p.add_argument("graph")
-    p.add_argument("--size-cap", type=int, default=None)
+    p.add_argument(
+        "--size-cap",
+        type=int,
+        default=None,
+        help="enumerate odd sets of at most this many vertices: a lower bound",
+    )
     p.set_defaults(func=_cmd_chi_star)
 
     p = sub.add_parser("color", help="edge-color a multigraph")

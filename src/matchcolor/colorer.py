@@ -304,17 +304,23 @@ def make_selector(params: RoundParams) -> Callable[[RoundState], Flaw | None]:
     from the round's hard-core model."""
     model = params.model
     graph = model.graph
-    thr = params.degree_threshold
+    # Residual degrees are integers: deg > threshold iff deg > its floor.
+    thr = math.floor(params.degree_threshold)
+    # Per core, the flaw's footprint and repair, built on first selection.
+    repairs: dict[tuple[int, ...], tuple[frozenset[int], Callable]] = {}
 
-    def flaw(kind: str, key: tuple, core: Iterable[int]) -> Flaw:
-        inner, outer, footprint = _repair_balls(graph, core, params.radius)
-        return Flaw(kind, key, footprint, _make_address(model, inner, outer))
+    def flaw(kind: str, key: tuple, core: tuple[int, ...]) -> Flaw:
+        got = repairs.get(core)
+        if got is None:
+            inner, outer, footprint = _repair_balls(graph, core, params.radius)
+            got = repairs[core] = (footprint, _make_address(model, inner, outer))
+        return Flaw(kind, key, *got)
 
     def select(state: RoundState) -> Flaw | None:
         deg = _residual_degrees(graph, state)
         for v in range(graph.n):
             if deg[v] > thr:
-                return flaw("vertex", ("vertex", v), [v])
+                return flaw("vertex", ("vertex", v), (v,))
         if graph.n >= 3:
             resid = _residual_graph(graph, state)
             if resid.m:

@@ -1,4 +1,4 @@
-"""Fractional chromatic index, exact: rational levels, integer search.
+"""Fractional chromatic index, exact: rational levels, integer searches.
 
 By Edmonds' matching-polytope description, the fractional chromatic index of a
 multigraph is
@@ -7,13 +7,28 @@ multigraph is
 
 over vertex sets H with |H| >= 2.  Even H and pairs never beat Delta (their
 edge count is at most (|H|/2) * Delta), and a disconnected odd H is dominated
-by its best component, so the search space is connected odd sets of size >= 3.
-The search enumerates connected sets rooted at their minimum vertex with sound
-upper-bound pruning, so it is exhaustive within the vertex cap.
+by its best component, so the maximum is over connected odd sets of size >= 3.
+``chi_star`` finds it by raising a level c from Delta to the ratio of each
+odd set found violating its constraint |E(H)| <= c (|H| - 1) / 2.
 
-Levels, chi* and certificate ratios are exact rationals (``Fraction``).  The
-search writes its level as p/q once and compares cross-multiplied integers,
-so it is exact at any denominator and does no rational arithmetic per set.
+Two searches find violating sets:
+
+* the Padberg-Rao oracle (``separate_odd_set``), exact in polynomial time.
+  At c = p/q it builds an auxiliary graph, the collapsed graph with
+  capacities mult(u, v) * q plus a slack vertex z joined to each v by
+  p - deg(v) * q, where H has cut capacity p|H| - 2q|E(H)|; so H violates
+  exactly when its cut is below p.  The minimum T-odd cut, T = V (plus z
+  when n is odd), is the lightest odd-sided fundamental cut of a Gomory-Hu
+  cut tree, built by Gusfield's n max flows (``min_odd_cut``).  It serves
+  exact ``chi_star``.
+* the capped enumeration (``find_violated_matching_constraint``), which
+  grows connected sets of at most a vertex cap from their minimum vertex
+  with sound upper-bound pruning.  It serves ``chi_star`` with a
+  ``size_cap`` and the gs flaw selector's local small-set search.
+
+Levels, chi* and certificate ratios are exact rationals (``Fraction``).  Each
+search writes its level as p/q once and works in integers, so it is exact at
+any denominator and does no rational arithmetic per set or per flow.
 """
 
 from __future__ import annotations
@@ -21,6 +36,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .graphs import Multigraph
 
@@ -158,49 +174,239 @@ def find_violated_matching_constraint(
     return None
 
 
-# Exhaustive answers by graph object; graphs are immutable.
+# ---------------------------------------------------------------------------
+# Padberg-Rao separation: minimum T-odd cuts on a Gomory-Hu cut tree
+
+
+def _max_flow(
+    out: list[list[tuple[int, int]]], tail: list[int], cap: list[int], s: int, t: int, limit: int
+) -> tuple[int, list[int] | None]:
+    """Max flow from s to t by shortest augmenting paths, stopped at
+    ``limit``, on the residual capacities ``cap`` (changed in place).
+    Returns the flow and the source side of a minimum cut, or None for the
+    side when the flow reached ``limit``."""
+    flow = 0
+    while True:
+        pred = [-1] * len(out)
+        pred[s] = -2
+        queue = [s]
+        for u in queue:
+            for a, w in out[u]:
+                if pred[w] == -1 and cap[a]:
+                    pred[w] = a
+                    queue.append(w)
+            if pred[t] != -1:
+                break
+        if pred[t] == -1:
+            return flow, queue
+        push = limit - flow
+        w = t
+        while w != s:
+            a = pred[w]
+            if cap[a] < push:
+                push = cap[a]
+            w = tail[a]
+        w = t
+        while w != s:
+            a = pred[w]
+            cap[a] -= push
+            cap[a ^ 1] += push
+            w = tail[a]
+        flow += push
+        if flow >= limit:
+            return flow, None
+
+
+def _cut_tree(out: list[list[tuple[int, int]]], base: list[int], limit: int) -> tuple[list[int], list[int]]:
+    """Gomory-Hu cut tree of the auxiliary graph by Gusfield's method.
+
+    Vertices are ``0..n`` with the slack vertex ``n`` as the root; ``out[v]``
+    lists v's arcs as (arc, head), arc ``a ^ 1`` is the reverse of arc a, and
+    ``base`` holds every arc's capacity.  Returns (parent, weight): the tree
+    edge from v to ``parent[v]`` weighs ``weight[v]``, and the vertices below
+    it form a minimum cut between its ends of that capacity.
+
+    Every singleton {s} of a vertex of V is a cut of capacity ``limit``, so
+    a max flow may stop there: {s} is then a minimum cut, which moves
+    nothing in the tree.
+    """
+    root = len(out) - 1
+    tail = [0] * len(base)
+    for v, arcs in enumerate(out):
+        for a, _ in arcs:
+            tail[a] = v
+    parent = [root] * root
+    weight = [0] * root
+    for s in range(root):
+        t = parent[s]
+        flow, side = _max_flow(out, tail, base[:], s, t, limit)
+        weight[s] = flow
+        if side is None:
+            continue
+        # Hang the side's vertices that sat on t from s, and swap s above t
+        # when t's parent is on the side too.
+        for v in side:
+            if v != s and v != root and parent[v] == t:
+                parent[v] = s
+        if t != root and parent[t] in side:
+            parent[s] = parent[t]
+            parent[t] = s
+            weight[s] = weight[t]
+            weight[t] = flow
+    return parent, weight
+
+
+def _auxiliary(graph: Multigraph, p: int, q: int) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """The auxiliary graph at level p/q in ``_cut_tree``'s arc form: the
+    collapsed graph with capacities mult(u, v) * q, and the slack vertex
+    ``graph.n`` joined to each v by capacity p - deg(v) * q when positive."""
+    n = graph.n
+    sk = _Skeleton(graph)
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    base: list[int] = []
+
+    def join(u: int, v: int, capacity: int) -> None:
+        out[u].append((len(base), v))
+        out[v].append((len(base) + 1, u))
+        base.extend((capacity, capacity))
+
+    for u in range(n):
+        for v, k in sk.adj[u]:
+            if u < v:
+                join(u, v, k * q)
+        if p > sk.deg[u] * q:
+            join(u, n, p - sk.deg[u] * q)
+    return out, base
+
+
+def min_odd_cut(graph: Multigraph, c: Fraction) -> tuple[int, tuple[int, ...]]:
+    """The minimum T-odd cut of the auxiliary graph at level c = p/q (Padberg
+    and Rao), as (capacity, the side without the slack vertex).
+
+    The auxiliary graph is the collapsed graph plus a slack vertex z: each
+    vertex pair has capacity mult(u, v) * q and each edge vz capacity
+    p - deg(v) * q, so c must be at least Delta.  A vertex set H has cut
+    capacity p|H| - 2q|E(H)|.  T is V, plus z when n is odd, so a cut is
+    T-odd exactly when its side without z has odd size.  The minimum is the
+    lightest such cut among the fundamental cuts of a Gomory-Hu cut tree
+    (``_cut_tree``), which n max flows build.  Every singleton is a T-odd
+    cut of capacity p, so the minimum is at most p, and an odd H violates
+    the odd-set constraint at c exactly when its capacity is below p.
+    """
+    c = Fraction(c)
+    if graph.n < 1:
+        raise ValueError("the odd-cut oracle needs at least one vertex")
+    if c < graph.max_degree():
+        raise ValueError(f"level must be at least the maximum degree, got {c}")
+    n = graph.n
+    p = c.numerator
+    parent, weight = _cut_tree(*_auxiliary(graph, p, c.denominator), p)
+    children: list[list[int]] = [[] for _ in range(n + 1)]
+    for v in range(n):
+        children[parent[v]].append(v)
+    order = [n]
+    for v in order:
+        order.extend(children[v])
+    size = [1] * (n + 1)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    best = min((weight[v], v) for v in range(n) if size[v] % 2)
+    side = [best[1]]
+    for v in side:
+        side.extend(children[v])
+    return best[0], tuple(sorted(side))
+
+
+def separate_odd_set(graph: Multigraph, c: Fraction) -> OddSetCertificate | None:
+    """A connected odd H with |E(H)| > ((|H| - 1) / 2) * c, or None when no
+    odd set violates its constraint at c (that is, when chi* <= c).
+
+    The level must be at least Delta.  H is the best component, by ratio,
+    of the minimum T-odd cut's side (``min_odd_cut``).  Each odd component
+    of a violating side violates on its own, since components' capacities
+    add up and none is negative.
+    """
+    c = Fraction(c)
+    if graph.m == 0:
+        return None
+    weight, side = min_odd_cut(graph, c)
+    if weight >= c.numerator:
+        return None
+    adj = _Skeleton(graph).adj
+    inside = set(side)
+    best: tuple[int, int, tuple[int, ...]] | None = None
+    for v in side:
+        if v not in inside:
+            continue
+        comp = [v]
+        inside.discard(v)
+        for u in comp:
+            for w, _ in adj[u]:
+                if w in inside:
+                    inside.discard(w)
+                    comp.append(w)
+        if len(comp) % 2 == 0:
+            continue
+        comp_set = set(comp)
+        edges = sum(k for u in comp for w, k in adj[u] if w in comp_set) // 2
+        half = (len(comp) - 1) // 2
+        # Higher ratio edges / half first, then the smaller vertex tuple.
+        if best is None or edges * best[1] > best[0] * half:
+            best = (edges, half, tuple(sorted(comp)))
+    edges, half, verts = best
+    return OddSetCertificate(verts, edges, Fraction(edges, half))
+
+
+# Answers by graph object; graphs are immutable.
 _MEMO: "weakref.WeakKeyDictionary[Multigraph, FractionalIndex]" = weakref.WeakKeyDictionary()
 
 
 def chi_star(graph: Multigraph, size_cap: int | None = None) -> FractionalIndex:
-    """Fractional chromatic index; exact when size_cap covers the whole graph,
-    otherwise a lower bound flagged non-exhaustive.
+    """Fractional chromatic index: exact without ``size_cap``, otherwise the
+    maximum over odd sets of at most ``size_cap`` vertices, a lower bound
+    flagged non-exhaustive when the cap misses some odd set.
 
-    The odd-set maximum is located by iterating the violation search: start at
-    c = Delta, and whenever a violating H is found raise c to its ratio.  The
-    final level is achieved and unbeaten, so it equals the true maximum over
-    sets within the cap.  With the default ``size_cap`` the result is
-    memoized per graph object (weakly, so it goes with the graph): a
-    pipeline that asks again about the same graph, to plan a round and then
-    to check its calibration target, pays one search.
+    Both locate the odd-set maximum by raising a level: start at c = Delta,
+    and whenever a violating H is found raise c to its ratio.  The final
+    level is achieved and unbeaten, so it is the maximum.  Without a cap the
+    violating sets come from the Padberg-Rao oracle (``separate_odd_set``),
+    in polynomial time; with one, from the capped enumeration
+    (``find_violated_matching_constraint``).  The exact answer is memoized
+    per graph object (weakly, so it goes with the graph): a pipeline that
+    asks again about the same graph, to plan a round and then to check its
+    calibration target, pays one search.
     """
+    if graph.m == 0:
+        raise ValueError("fractional chromatic index of an edgeless graph is undefined here")
     if size_cap is not None:
-        return _search(graph, size_cap)
+        return _capped_search(graph, size_cap)
     got = _MEMO.get(graph)
     if got is None:
-        got = _MEMO[graph] = _search(graph, None)
+        got = _MEMO[graph] = _raise_level(graph, separate_odd_set, True)
     return got
 
 
-def _search(graph: Multigraph, size_cap: int | None) -> FractionalIndex:
-    if graph.m == 0:
-        raise ValueError("fractional chromatic index of an edgeless graph is undefined here")
-    if size_cap is not None and not (1 <= size_cap <= graph.n):
+def _capped_search(graph: Multigraph, size_cap: int) -> FractionalIndex:
+    if not 1 <= size_cap <= graph.n:
         raise ValueError(f"size_cap must be in [1, {graph.n}], got {size_cap}")
-    delta = graph.max_degree()
-    cap = graph.n if size_cap is None else size_cap
-    odd_cap = cap if cap % 2 else cap - 1
+    odd_cap = size_cap if size_cap % 2 else size_cap - 1
     reachable = graph.n if graph.n % 2 else graph.n - 1
     exhaustive = odd_cap >= reachable or graph.n < 3
+    if odd_cap < 3:
+        return FractionalIndex(Fraction(graph.max_degree()), "degree", exhaustive)
+    return _raise_level(
+        graph, lambda g, c: find_violated_matching_constraint(g, c, odd_cap), exhaustive
+    )
+
+
+def _raise_level(
+    graph: Multigraph,
+    separate: Callable[[Multigraph, Fraction], OddSetCertificate | None],
+    exhaustive: bool,
+) -> FractionalIndex:
+    level = Fraction(graph.max_degree())
     best: OddSetCertificate | None = None
-    if odd_cap >= 3:
-        level = Fraction(delta)
-        while True:
-            cert = find_violated_matching_constraint(graph, level, odd_cap)
-            if cert is None:
-                break
-            best = cert
-            level = cert.ratio
-    if best is None:
-        return FractionalIndex(Fraction(delta), "degree", exhaustive)
-    return FractionalIndex(best.ratio, best, exhaustive)
+    while (cert := separate(graph, level)) is not None:
+        best = cert
+        level = cert.ratio
+    return FractionalIndex(level, best or "degree", exhaustive)

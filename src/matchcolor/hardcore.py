@@ -51,6 +51,7 @@ runs it once nodes x bundle slots pass ``AUTO_SWEEP_BUDGET``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from bisect import bisect_right
@@ -118,6 +119,11 @@ class HardCoreModel:
         self.pairs: list[tuple[int, int]] = sorted(bundles)
         self.members: list[list[int]] = [bundles[p] for p in self.pairs]
         self.lam: list[float] = [sum(values[eid] for eid in mem) for mem in self.members]
+        # Per bundle, the running sums of its members' activities, left to
+        # right: ``_lift_bundle`` bisects them.
+        self.cumulative: list[list[float]] = [
+            list(itertools.accumulate(values[eid] for eid in mem)) for mem in self.members
+        ]
         self.sampler = sampler
         self.chain_steps = chain_steps
         self._dag: _ZDag | None = None
@@ -533,19 +539,14 @@ def default_steps(model: HardCoreModel) -> int:
 
 
 def _lift_bundle(model: HardCoreModel, s: int, rng) -> int:
-    """Thin a chosen bundle to one of its host edges, by activity weight."""
+    """Thin a chosen bundle to one of its host edges, by activity weight:
+    the first member whose running activity sum exceeds a uniform draw
+    scaled by the bundle's activity."""
     members = model.members[s]
     if len(members) == 1:
         return members[0]
-    sub = rng.random() * model.lam[s]
-    acc = 0.0
-    host = members[-1]
-    for eid in members:
-        acc += model.activities[eid]
-        if sub < acc:
-            host = eid
-            break
-    return host
+    pos = bisect_right(model.cumulative[s], rng.random() * model.lam[s])
+    return members[min(pos, len(members) - 1)]
 
 
 def sample_matching(
@@ -980,32 +981,34 @@ def calibrate_activities(
     if graph.m == 0:
         empty = HardCoreModel(graph, [], sampler, chain.steps)
         return CalibrationResult({}, {}, 0.0, 0, 0.0, "exact", empty)
+    # ``common`` is the one target all edges share, or None.
     if isinstance(target, Mapping):
         targets = {eid: _as_fraction(t) for eid, t in target.items()}
         if set(targets) != set(range(graph.m)):
             raise ValueError("target mapping must cover exactly the edge ids")
-        uniform = len(set(targets.values())) == 1
+        for eid, t in targets.items():
+            if not 0 < t < 1:
+                raise ValueError(f"target for edge {eid} must lie in (0, 1), got {t}")
+        distinct = set(targets.values())
+        common = distinct.pop() if len(distinct) == 1 else None
+        tf = {eid: float(t) for eid, t in targets.items()}
     else:
-        t = _as_fraction(target)
-        targets = {eid: t for eid in range(graph.m)}
-        uniform = True
-    for eid, t in targets.items():
-        if not 0 < t < 1:
-            raise ValueError(f"target for edge {eid} must lie in (0, 1), got {t}")
+        common = _as_fraction(target)
+        if not 0 < common < 1:
+            raise ValueError(f"target for edge 0 must lie in (0, 1), got {common}")
+        tf = dict.fromkeys(range(graph.m), float(common))
 
-    if uniform:
+    if common is not None:
         # Uniform marginals 1/c exist iff chi* < c (strictly inside the
         # matching polytope); the same bound certifies dominated targets.
-        t_max = max(targets.values())
         value = chi_star(graph).value
-        if value >= 1 / t_max:
+        if value >= 1 / common:
             raise InfeasibleTargetError(
-                f"marginal target {t_max} needs fractional chromatic index below "
-                f"{1 / t_max}, but the graph has chi* = {value}; uniform marginals "
+                f"marginal target {common} needs fractional chromatic index below "
+                f"{1 / common}, but the graph has chi* = {value}; uniform marginals "
                 "1/c are achievable exactly when chi* < c"
             )
 
-    tf = {eid: float(t) for eid, t in targets.items()}
     lam = {eid: tf[eid] / (1.0 - tf[eid]) for eid in range(graph.m)}
     if initial is not None:
         for eid, val in initial.items():

@@ -146,6 +146,30 @@ class IterationContext:
     models: dict[int, tuple[HardCoreModel, tuple[int, ...], dict[int, int]]] = field(
         default_factory=dict, repr=False
     )
+    # Per (edge set G_i, repair core): the inner and outer balls in G_i's
+    # metric and the positions of G_i's edges inside the outer ball, sorted;
+    # None when G_i has no edge at the core.  Colors with equal edge sets
+    # share their regions.
+    regions: dict[
+        tuple[tuple[int, ...], frozenset[int]],
+        tuple[frozenset[int], frozenset[int], tuple[int, ...]] | None,
+    ] = field(default_factory=dict, repr=False)
+
+    def region(
+        self, color: int, core: frozenset[int]
+    ) -> tuple[frozenset[int], frozenset[int], tuple[int, ...]] | None:
+        """The repair region of ``color`` around ``core``, built once."""
+        key = (self.g_edges[color], core)
+        if key not in self.regions:
+            g = self.models[color][0].graph
+            got = None
+            if any(g.incidence[v] for v in core):
+                inner, outer = nested_balls(g, core, (self.radius, self.radius + 1))
+                ends = g.endpoints
+                inside = {j for v in outer for j in g.incidence[v] if outer.issuperset(ends[j])}
+                got = (inner, outer, tuple(sorted(inside)))
+            self.regions[key] = got
+        return self.regions[key]
 
 
 def build_color_subgraphs(graph: Multigraph, lists: ListMap) -> dict[int, tuple[int, ...]]:
@@ -367,18 +391,17 @@ def _fix_address(ctx: IterationContext, core: frozenset[int]):
         As = list(state.active)
         Hs = list(state.held)
         for idx, c in enumerate(ctx.colors):
-            # The color's own model, as drawn from by sample_iteration; its
-            # balls are taken in G_i's metric, from one distance map.
+            # The color's own model, as drawn from by sample_iteration.
             model, kept, pos = ctx.models[c]
-            g = model.graph
-            if not any(g.incidence[v] for v in core):
+            region = ctx.region(c, core)
+            if region is None:
                 # No edge of G_i at the core: both balls are the core itself, and
                 # a redraw there and its bits would change nothing and use no
                 # random number.
                 if audit:
                     ctx.locality_audits += 1
                 continue
-            inner, outer = nested_balls(g, core, (ctx.radius, ctx.radius + 1))
+            inner, outer, inside = region
             local_m = frozenset(pos[h] for h in state.matchings[idx])
             new_local = resample_matching(model, local_m, inner, outer, rng)
             ms[idx] = frozenset(kept[j] for j in new_local)
@@ -386,9 +409,7 @@ def _fix_address(ctx: IterationContext, core: frozenset[int]):
             h = set(Hs[idx])
             # G_i's edges inside the outer ball re-flip both bits, in host-id
             # order (positions follow host ids).
-            ends = g.endpoints
-            inside = {j for v in outer for j in g.incidence[v] if outer.issuperset(ends[j])}
-            for j in sorted(inside):
+            for j in inside:
                 e = kept[j]
                 a.discard(e)
                 if rng.random() < ctx.alpha:

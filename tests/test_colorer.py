@@ -260,17 +260,17 @@ def test_color_multigraph_compiles_one_sampling_dag_per_round(monkeypatch):
 def test_color_multigraph_computes_chi_star_once_per_graph(monkeypatch):
     # Planning a round, calibrating it and certifying the previous round's
     # residual all need chi* of one graph; each graph is searched once.  A
-    # search starts at level Delta, and only the searches of chi_star reach
-    # the fractional module's binding (the flaw selector holds its own).
+    # search starts at level Delta, and only chi_star calls the Padberg-Rao
+    # oracle (the flaw selector runs its own capped search).
     searched = []
-    search = fractional.find_violated_matching_constraint
+    search = fractional.separate_odd_set
 
-    def counting(graph, c, vertex_cap):
+    def counting(graph, c):
         if c == graph.max_degree():
             searched.append(graph)
-        return search(graph, c, vertex_cap)
+        return search(graph, c)
 
-    monkeypatch.setattr(fractional, "find_violated_matching_constraint", counting)
+    monkeypatch.setattr(fractional, "separate_odd_set", counting)
     g = gs_instance(0)
     cfg = GsConfig(epsilon=0.5, master_seed=0, chi0_override=10, t_override=2, step_cap=3000)
     coloring, stats = color_multigraph(g, cfg)

@@ -1,6 +1,7 @@
 """Package layout rules that keep module boundaries explicit."""
 
 import ast
+import sys
 from pathlib import Path
 
 import matchcolor
@@ -114,4 +115,25 @@ def test_no_unread_parameters():
             }
             name = getattr(func, "name", "lambda")
             offenders += [f"{path.stem}.{name}:{p}" for p in params if p not in read]
+    assert offenders == []
+
+
+def test_src_imports_only_stdlib_and_numpy():
+    """The package depends on numpy alone: networkx, scipy and the other
+    test-side tools stay out of ``src``."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}
+            ]
     assert offenders == []
