@@ -236,15 +236,18 @@ def initial_state(
     return tuple(out)
 
 
-def _residual_degrees(graph: Multigraph, state: RoundState) -> list[int]:
+def _residual_degrees(graph: Multigraph, base: list[int], state: RoundState) -> list[int]:
+    """Each vertex's degree once the union of the round's matchings is
+    removed: ``base`` (the host degrees) less the union's endpoints."""
     union: set[int] = set()
     for matching in state:
         union |= matching
-    deg = [0] * graph.n
-    for eid, (u, v) in enumerate(graph.endpoints):
-        if eid not in union:
-            deg[u] += 1
-            deg[v] += 1
+    deg = base.copy()
+    ends = graph.endpoints
+    for eid in union:
+        u, v = ends[eid]
+        deg[u] -= 1
+        deg[v] -= 1
     return deg
 
 
@@ -306,6 +309,7 @@ def make_selector(params: RoundParams) -> Callable[[RoundState], Flaw | None]:
     graph = model.graph
     # Residual degrees are integers: deg > threshold iff deg > its floor.
     thr = math.floor(params.degree_threshold)
+    base = [graph.degree(v) for v in range(graph.n)]
     # Per core, the flaw's footprint and repair, built on first selection.
     repairs: dict[tuple[int, ...], tuple[frozenset[int], Callable]] = {}
 
@@ -317,7 +321,7 @@ def make_selector(params: RoundParams) -> Callable[[RoundState], Flaw | None]:
         return Flaw(kind, key, *got)
 
     def select(state: RoundState) -> Flaw | None:
-        deg = _residual_degrees(graph, state)
+        deg = _residual_degrees(graph, base, state)
         for v in range(graph.n):
             if deg[v] > thr:
                 return flaw("vertex", ("vertex", v), (v,))
@@ -557,10 +561,11 @@ def round_flaw_specs(graph: Multigraph, params: RoundParams) -> list[FlawSpec]:
     """The full static flaw family with exact kernels, for verification runs:
     one spec per vertex, then one per connected odd set within the cap."""
     thr = params.degree_threshold
+    base = [graph.degree(v) for v in range(graph.n)]
     specs: list[FlawSpec] = []
 
     def vertex_detect(v: int) -> Callable[[RoundState], bool]:
-        return lambda state: _residual_degrees(graph, state)[v] > thr
+        return lambda state: _residual_degrees(graph, base, state)[v] > thr
 
     def set_detect(vs: tuple[int, ...]) -> Callable[[RoundState], bool]:
         members = set(vs)

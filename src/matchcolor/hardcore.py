@@ -69,7 +69,7 @@ from .graphs import Multigraph, distances_from, induced_subgraph, matched_vertic
 from .rng import stream
 
 # Budgets of the exact path under sampler="auto" (see the module docstring).
-# On a 2-core x86-64 host under CPython 3.11, a compile costs about 16 us
+# On a 2-core x86-64 host under CPython 3.11, a compile costs about 6 us
 # per node, a covariance sweep about 1 us and 70 bytes per node x slot, and
 # a chain draw on 60 collapsed edges 5-10 ms.  20,000 nodes keep random
 # cubic graphs on 34 vertices (up to about 18,000 nodes) exact.
@@ -171,21 +171,30 @@ class _ZDag:
     d log Z / d log lambda at once), and ``sample`` walks down from a root
     choosing terms by weight.  Masks not yet compiled (conditioning regions,
     say) are added on demand.
+
+    The pivot is a minimum-degree vertex of the component, the lowest-
+    numbered on ties.  The search that finds a new mask's components also
+    counts, bit-sliced, how many of each vertex's neighbours it has met, so
+    each component arrives with its degree-one and degree-two vertices and
+    most pivots cost no scan.  Removing a degree-one pivot leaves its
+    component connected with one neighbour's degree lowered, so that child
+    is compiled as a component at once, with its classes updated, and skips
+    the search.
     """
 
     def __init__(self, n: int, pairs: Sequence[tuple[int, int]], lam: Sequence[float], budget: int):
-        self.nbr: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # Keyed by a vertex's single-bit mask: its (neighbour bit, bundle
+        # slot) pairs in neighbour order, and the mask of its neighbours.
+        nbr: dict[int, list[tuple[int, int]]] = {1 << v: [] for v in range(n)}
         for s, (u, v) in enumerate(pairs):
-            self.nbr[u].append((v, s))
-            self.nbr[v].append((u, s))
-        for lst in self.nbr:
+            nbr[1 << u].append((1 << v, s))
+            nbr[1 << v].append((1 << u, s))
+        self.nbr: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.nbr_mask: dict[int, int] = {}
+        for bit, lst in nbr.items():
             lst.sort()
-        self.nbr_mask: list[int] = [0] * n
-        for v, lst in enumerate(self.nbr):
-            acc = 0
-            for u, _ in lst:
-                acc |= 1 << u
-            self.nbr_mask[v] = acc
+            self.nbr[bit] = tuple(lst)
+            self.nbr_mask[bit] = sum(u for u, _ in lst)
         self.full = (1 << n) - 1
         # Per-slot log activity; slot -1 (the pivot left unmatched) reads the
         # trailing 0.0.
@@ -218,25 +227,11 @@ class _ZDag:
             return got
         if mask & (mask - 1) == 0:
             return 0
-        comps = self._components(mask)
-        if len(comps) == 1:
-            return self._component(mask)
-        kids = []
-        for comp in comps:
-            if comp & (comp - 1):
-                got = self.index.get(comp)
-                kids.append(self._component(comp) if got is None else got)
-        if len(kids) > 1:
-            total = 0.0
-            for k in kids:
-                total += self.val[k]
-            node = self._add(True, tuple(kids), (), total)
-        else:
-            node = kids[0] if kids else 0
-        self.index[mask] = node
-        return node
+        return self._compile(mask)
 
     def _add(self, split: bool, kids: tuple[int, ...], slots: tuple[int, ...], value: float) -> int:
+        # The budget check comes first, so a stopped compile leaves a valid
+        # partial DAG that stops again at its first new node.
         node = len(self.val)
         if node >= self.budget:
             raise CapacityError(f"compiling would take the DAG past {self.budget} nodes")
@@ -246,64 +241,125 @@ class _ZDag:
         self.val.append(value)
         return node
 
-    def _components(self, mask: int) -> list[int]:
-        nbr_mask = self.nbr_mask
+    def _compile(self, mask: int) -> int:
+        """Compile the node of a mask of two or more vertices that has none
+        yet: its components' nodes, in order of their lowest vertex, summed by
+        a split node when more than one has an edge."""
+        nbr_mask, index = self.nbr_mask, self.index
+        kids = []
         remaining = mask
-        comps = []
         while remaining:
             comp = remaining & -remaining
             new = comp
+            # t1, t2, t3: the vertices with at least 1, 2, 3 neighbours among
+            # those expanded so far (all in ``comp``).
+            t1 = t2 = t3 = 0
             while new:
-                spread = 0
                 bits = new
                 while bits:
                     low = bits & -bits
-                    spread |= nbr_mask[low.bit_length() - 1]
+                    nb = nbr_mask[low]
+                    t3 |= t2 & nb
+                    t2 |= t1 & nb
+                    t1 |= nb
                     bits ^= low
-                new = spread & remaining & ~comp
+                new = t1 & remaining & ~comp
                 comp |= new
-            remaining &= ~comp
-            comps.append(comp)
-        return comps
+            if comp == mask:
+                return self._component(mask, mask & ~t2, mask & t2 & ~t3)
+            remaining ^= comp
+            if comp & (comp - 1):
+                got = index.get(comp)
+                kids.append(self._component(comp, comp & ~t2, comp & t2 & ~t3) if got is None else got)
+        if len(kids) > 1:
+            total = 0.0
+            for k in kids:
+                total += self.val[k]
+            node = self._add(True, tuple(kids), (), total)
+        else:
+            node = kids[0] if kids else 0
+        index[mask] = node
+        return node
 
     def _pivot(self, comp: int) -> int:
-        # Pivot on a minimum-degree vertex, the lowest-numbered on ties:
-        # linear on trees, and it keeps the reachable state family small on
-        # sparse graphs.  A connected component has minimum degree at least
-        # one, so the first degree-one vertex ends the scan.
-        best = -1
+        # Minimum degree three or more (the degree classes found none lower):
+        # the first degree-three vertex, else the lowest-numbered of least
+        # degree.
+        best = 0
         best_deg = comp.bit_count()
         nbr_mask = self.nbr_mask
         bits = comp
         while bits:
             low = bits & -bits
-            v = low.bit_length() - 1
-            deg = (nbr_mask[v] & comp).bit_count()
+            deg = (nbr_mask[low] & comp).bit_count()
             if deg < best_deg:
-                if deg == 1:
-                    return v
-                best, best_deg = v, deg
+                if deg == 3:
+                    return low
+                best, best_deg = low, deg
             bits ^= low
         return best
 
-    def _component(self, comp: int) -> int:
-        """Compile the node of a connected mask that has none yet."""
-        pivot = self._pivot(comp)
-        rest = comp & ~(1 << pivot)
-        node, val, w = self.node, self.val, self.weight
-        k = node(rest)
+    def _component(self, comp: int, ones: int, twos: int) -> int:
+        """Compile the node of a connected mask of two or more vertices that
+        has none yet, given its vertices of degree one and of degree two."""
+        index, val, w = self.index, self.val, self.weight
+        # Pivot on a minimum-degree vertex, the lowest-numbered on ties:
+        # linear on trees, and it keeps the reachable state family small on
+        # sparse graphs.
+        if ones:
+            p = ones & -ones
+        elif twos:
+            p = twos & -twos
+        else:
+            p = self._pivot(comp)
+        rest = comp ^ p
+        k = index.get(rest)
+        if k is None:
+            if rest & (rest - 1) == 0:
+                k = 0
+            elif ones:
+                # Removing a leaf keeps ``rest`` connected and lowers only
+                # its neighbour u's degree.  u has degree two or more here,
+                # since the component has three or more vertices.
+                u = self.nbr_mask[p] & comp
+                ones ^= p
+                if u & twos:
+                    ones |= u
+                    twos ^= u
+                elif (self.nbr_mask[u] & rest).bit_count() == 2:
+                    twos |= u
+                k = self._component(rest, ones, twos)
+            else:
+                k = self._compile(rest)
         kids = [k]
         slots = [-1]
         terms = [val[k]]
-        for u, s in self.nbr[pivot]:
-            if comp >> u & 1:
-                k = node(rest & ~(1 << u))
+        for u, s in self.nbr[p]:
+            if comp & u:
+                left = rest ^ u
+                k = index.get(left)
+                if k is None:
+                    k = 0 if left & (left - 1) == 0 else self._compile(left)
                 kids.append(k)
                 slots.append(s)
                 terms.append(w[s] + val[k])
-        got = self._add(False, tuple(kids), tuple(slots), _logsumexp(terms))
-        self.index[comp] = got
-        return got
+        if len(terms) == 2:
+            # _logsumexp inlined, as ``evaluate`` computes two terms.
+            a, b = terms
+            hi = b if b > a else a
+            value = hi + math.log(math.exp(a - hi) + math.exp(b - hi))
+        else:
+            value = _logsumexp(terms)
+        # ``_add`` inlined, budget check first.
+        node = len(val)
+        if node >= self.budget:
+            raise CapacityError(f"compiling would take the DAG past {self.budget} nodes")
+        self.split.append(False)
+        self.kids.append(tuple(kids))
+        self.slots.append(tuple(slots))
+        val.append(value)
+        index[comp] = node
+        return node
 
     def evaluate(self, lam: Sequence[float]) -> None:
         """Forward sweep: re-evaluate every compiled node at bundle activities ``lam``."""

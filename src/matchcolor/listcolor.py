@@ -147,7 +147,7 @@ class IterationContext:
         default_factory=dict, repr=False
     )
     # Per (edge set G_i, repair core): the inner and outer balls in G_i's
-    # metric and the positions of G_i's edges inside the outer ball, sorted;
+    # metric and the host ids of G_i's edges inside the outer ball, sorted;
     # None when G_i has no edge at the core.  Colors with equal edge sets
     # share their regions.
     regions: dict[
@@ -166,8 +166,9 @@ class IterationContext:
             if any(g.incidence[v] for v in core):
                 inner, outer = nested_balls(g, core, (self.radius, self.radius + 1))
                 ends = g.endpoints
+                kept = self.models[color][1]
                 inside = {j for v in outer for j in g.incidence[v] if outer.issuperset(ends[j])}
-                got = (inner, outer, tuple(sorted(inside)))
+                got = (inner, outer, tuple(kept[j] for j in sorted(inside)))
             self.regions[key] = got
         return self.regions[key]
 
@@ -405,26 +406,20 @@ def _fix_address(ctx: IterationContext, core: frozenset[int]):
             local_m = frozenset(pos[h] for h in state.matchings[idx])
             new_local = resample_matching(model, local_m, inner, outer, rng)
             ms[idx] = frozenset(kept[j] for j in new_local)
-            a = set(As[idx])
-            h = set(Hs[idx])
             # G_i's edges inside the outer ball re-flip both bits, in host-id
-            # order (positions follow host ids).
-            for j in inside:
-                e = kept[j]
-                a.discard(e)
-                if rng.random() < ctx.alpha:
-                    a.add(e)
-                h.discard(e)
-                if rng.random() < ctx.eq[(c, e)]:
-                    h.add(e)
-            As[idx] = frozenset(a)
-            Hs[idx] = frozenset(h)
+            # order, the active bit first: one call draws the same uniforms
+            # as one call per bit.  Only the bits that flip are rebuilt.
+            draws = rng.random(2 * len(inside)).tolist()
+            a_in = {e for e, r in zip(inside, draws[::2]) if r < ctx.alpha}
+            h_in = {e for e, r in zip(inside, draws[1::2]) if r < ctx.eq[(c, e)]}
+            a_flip = a_in.symmetric_difference(As[idx].intersection(inside))
+            h_flip = h_in.symmetric_difference(Hs[idx].intersection(inside))
+            if a_flip:
+                As[idx] = As[idx] ^ a_flip
+            if h_flip:
+                Hs[idx] = Hs[idx] ^ h_flip
             if audit:
-                changed = (
-                    (state.matchings[idx] ^ ms[idx])
-                    | (state.active[idx] ^ As[idx])
-                    | (state.held[idx] ^ Hs[idx])
-                )
+                changed = (state.matchings[idx] ^ ms[idx]) | a_flip | h_flip
                 for e in changed:
                     u, v = ctx.graph.endpoints[e]
                     if u not in outer or v not in outer:

@@ -12,7 +12,8 @@ import random
 from fractions import Fraction
 
 from matchcolor import Multigraph, chi_star
-from matchcolor.hardcore import _lift_bundle
+from matchcolor.errors import CapacityError
+from matchcolor.hardcore import _lift_bundle, _logsumexp
 
 # ---------------------------------------------------------------------------
 # Named graphs
@@ -203,6 +204,125 @@ def reference_chain(model, steps: int, rng) -> frozenset[int]:
                             partner[v] = e
 
     return frozenset(_lift_bundle(model, e, rng) for e in range(ms) if in_m[e])
+
+
+# ---------------------------------------------------------------------------
+# Reference DAG compile
+
+
+class ReferenceDag:
+    """``hardcore._ZDag``'s compile in its first, rescanning form, kept to pin
+    the DAG node for node: ``node(mask)`` searches the components of every
+    new mask, and ``_pivot`` scans each component for its minimum-degree
+    vertex, the lowest-numbered on ties.  Only the compiled arrays
+    (``split``, ``kids``, ``slots``, ``val``, ``index``) are kept."""
+
+    def __init__(self, n, pairs, lam, budget):
+        self.nbr = [[] for _ in range(n)]
+        for s, (u, v) in enumerate(pairs):
+            self.nbr[u].append((v, s))
+            self.nbr[v].append((u, s))
+        for lst in self.nbr:
+            lst.sort()
+        self.nbr_mask = [sum(1 << u for u, _ in lst) for lst in self.nbr]
+        self.weight = [math.log(x) for x in lam] + [0.0]
+        self.split = [True]
+        self.kids = [()]
+        self.slots = [()]
+        self.val = [0.0]
+        self.index = {}
+        self.budget = budget
+
+    def node(self, mask):
+        got = self.index.get(mask)
+        if got is not None:
+            return got
+        if mask & (mask - 1) == 0:
+            return 0
+        comps = self._components(mask)
+        if len(comps) == 1:
+            return self._component(mask)
+        kids = []
+        for comp in comps:
+            if comp & (comp - 1):
+                got = self.index.get(comp)
+                kids.append(self._component(comp) if got is None else got)
+        if len(kids) > 1:
+            total = 0.0
+            for k in kids:
+                total += self.val[k]
+            node = self._add(True, tuple(kids), (), total)
+        else:
+            node = kids[0] if kids else 0
+        self.index[mask] = node
+        return node
+
+    def _add(self, split, kids, slots, value):
+        node = len(self.val)
+        if node >= self.budget:
+            raise CapacityError(f"compiling would take the DAG past {self.budget} nodes")
+        self.split.append(split)
+        self.kids.append(kids)
+        self.slots.append(slots)
+        self.val.append(value)
+        return node
+
+    def _components(self, mask):
+        remaining = mask
+        comps = []
+        while remaining:
+            comp = remaining & -remaining
+            new = comp
+            while new:
+                spread = 0
+                bits = new
+                while bits:
+                    low = bits & -bits
+                    spread |= self.nbr_mask[low.bit_length() - 1]
+                    bits ^= low
+                new = spread & remaining & ~comp
+                comp |= new
+            remaining &= ~comp
+            comps.append(comp)
+        return comps
+
+    def _pivot(self, comp):
+        best = -1
+        best_deg = comp.bit_count()
+        bits = comp
+        while bits:
+            low = bits & -bits
+            v = low.bit_length() - 1
+            deg = (self.nbr_mask[v] & comp).bit_count()
+            if deg < best_deg:
+                if deg == 1:
+                    return v
+                best, best_deg = v, deg
+            bits ^= low
+        return best
+
+    def _component(self, comp):
+        pivot = self._pivot(comp)
+        rest = comp & ~(1 << pivot)
+        k = self.node(rest)
+        kids = [k]
+        slots = [-1]
+        terms = [self.val[k]]
+        for u, s in self.nbr[pivot]:
+            if comp >> u & 1:
+                k = self.node(rest & ~(1 << u))
+                kids.append(k)
+                slots.append(s)
+                terms.append(self.weight[s] + self.val[k])
+        got = self._add(False, tuple(kids), tuple(slots), _logsumexp(terms))
+        self.index[comp] = got
+        return got
+
+
+def reference_dag(n: int, pairs, lam, budget: int) -> ReferenceDag:
+    """An uncompiled reference DAG over the collapsed graph (``pairs``,
+    bundle activities ``lam``); compile masks into it with ``node``."""
+    return ReferenceDag(n, pairs, lam, budget)
 
 
 # ---------------------------------------------------------------------------

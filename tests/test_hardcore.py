@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -33,12 +34,16 @@ from support import (
     cubic_graph,
     cycle_graph,
     double_edge,
+    gs_instance,
+    list_instance,
     path_graph,
     petersen,
     reference_chain,
+    reference_dag,
     shannon,
     star_multigraph,
     sweep_corpus,
+    sweep_multigraph,
 )
 
 
@@ -213,6 +218,98 @@ def test_compiled_dag_reevaluates_exactly(case):
         got = view.edge_marginals(dag.bundle_marginals(root))
         for e in range(g.m):
             assert math.isclose(got[e], margs[e], rel_tol=1e-10)
+
+
+def _assert_same_dag(dag, ref):
+    assert dag.split == ref.split
+    assert dag.kids == ref.kids
+    assert dag.slots == ref.slots
+    assert dag.index == ref.index
+    assert [x.hex() for x in dag.val] == [x.hex() for x in ref.val]
+
+
+@st.composite
+def dag_cases(draw):
+    """A sweep multigraph or a random cubic graph on up to 26 vertices,
+    activities, and vertex masks to compile before and after the whole graph."""
+    if draw(st.booleans()):
+        g = sweep_multigraph(random.Random(draw(st.integers(0, 2**32))), n_max=12, m_max=24)
+    else:
+        g = cubic_graph(draw(st.integers(1, 10**6)), draw(st.sampled_from(range(4, 28, 2))))
+    acts = random_activities(g, draw(st.integers(0, 2**32)))
+    masks = draw(st.lists(st.integers(0, (1 << g.n) - 1), max_size=4))
+    cut = draw(st.integers(0, len(masks)))
+    return g, acts, masks[:cut], masks[cut:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dag_cases())
+def test_dag_matches_reference_compile(case):
+    # The compile builds the reference recursion's DAG node for node, with
+    # bit-identical values, whether region masks come before or after the
+    # root.
+    g, acts, before, after = case
+    model = HardCoreModel(g, acts)
+    dag = model.dag()
+    ref = reference_dag(g.n, model.pairs, model.lam, sys.maxsize)
+    for mask in [*before, dag.full, *after]:
+        assert dag.node(mask) == ref.node(mask)
+    _assert_same_dag(dag, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10**6), st.sampled_from([12, 16, 20]), st.floats(0.0, 1.0), st.booleans())
+@example(1, 12, 1.0, False)
+def test_budget_stopped_compile_matches_reference(seed, n, share, region_first):
+    # A compile stopped by its node budget stops where the reference does,
+    # with the same partial DAG, and fails again at its first new node.
+    g = cubic_graph(seed, n)
+    model = HardCoreModel(g, random_activities(g, seed))
+    full = model.dag()
+    full.node(full.full)
+    # From node 0 alone up to one node short of the whole DAG.
+    budget = 1 + int(share * (len(full.val) - 2))
+    dag = hardcore._ZDag(g.n, model.pairs, model.lam, budget)
+    ref = reference_dag(g.n, model.pairs, model.lam, budget)
+    # With ``region_first``, the region of all vertices but the last two
+    # compiles first.
+    masks = [dag.full >> 2, dag.full] if region_first else [dag.full]
+    for mask in masks:
+        try:
+            got = dag.node(mask)
+        except CapacityError:
+            got = None
+        try:
+            want = ref.node(mask)
+        except CapacityError:
+            want = None
+        assert got == want
+    assert len(dag.val) == budget
+    _assert_same_dag(dag, ref)
+    with pytest.raises(CapacityError):
+        dag.node(dag.full)
+    assert len(dag.val) == budget
+
+
+@pytest.mark.parametrize(
+    "graphs, nodes",
+    [
+        ([cubic_graph(1, 34)], 10_272),
+        ([cubic_graph(2, 34)], 8_207),
+        ([cubic_graph(3, 34)], 7_400),
+        ([gs_instance(i) for i in range(12)], 1_010),
+        ([list_instance(i) for i in range(12)], 715),
+    ],
+    ids=["cubic34-1", "cubic34-2", "cubic34-3", "gs0-11", "list0-11"],
+)
+def test_dag_node_counts(graphs, nodes):
+    # The pivot rule fixes the DAG's size; a new rule moves these on purpose.
+    total = 0
+    for g in graphs:
+        dag = HardCoreModel(g, [1.0] * g.m).dag()
+        dag.node(dag.full)
+        total += len(dag.val)
+    assert total == nodes
 
 
 @st.composite
