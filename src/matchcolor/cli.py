@@ -51,13 +51,35 @@ def _read_graph(path: str) -> Multigraph:
 def _read_json(path: str):
     return json.loads(Path(path).read_text())
 
-def _int_key_map(raw, what: str) -> dict[int, object]:
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_color_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(c) for c in value)
+
+
+def _int_key_map(raw, what: str, valid, expect: str) -> dict[int, object]:
+    """``raw`` keyed by integer edge id, each value passing ``valid``."""
     if not isinstance(raw, dict):
         raise ParseError(f"{what} must be a JSON object keyed by edge id")
     try:
-        return {int(k): v for k, v in raw.items()}
+        out = {int(k): v for k, v in raw.items()}
     except (TypeError, ValueError) as err:
         raise ParseError(f"{what}: non-integer edge id") from err
+    for e, v in out.items():
+        if not valid(v):
+            raise ParseError(f"{what}: edge {e} must map to {expect}, got {json.dumps(v)}")
+    return out
+
+
+def _read_lists(path: str) -> dict[int, list[int]]:
+    return _int_key_map(_read_json(path), "lists", _is_color_list, "an array of integer colors")
 
 
 def _emit(obj, path: str | None = None) -> None:
@@ -70,7 +92,7 @@ def _emit(obj, path: str | None = None) -> None:
 
 def _activities_for(graph: Multigraph, args) -> list[float]:
     if getattr(args, "activities", None):
-        raw = _int_key_map(_read_json(args.activities), "activities")
+        raw = _int_key_map(_read_json(args.activities), "activities", _is_number, "a number")
         missing = [e for e in range(graph.m) if e not in raw]
         if missing:
             raise ParseError(f"activities file misses edge ids {missing[:5]}")
@@ -80,7 +102,7 @@ def _activities_for(graph: Multigraph, args) -> list[float]:
 
 def _cmd_chi_star(args) -> int:
     graph = _read_graph(args.graph)
-    idx = chi_star(graph, size_cap=args.size_cap)
+    idx = chi_star(graph)
     witness = (
         "degree"
         if idx.witness == "degree"
@@ -127,7 +149,7 @@ def _cmd_color(args) -> int:
 
 def _cmd_list_color(args) -> int:
     graph = _read_graph(args.graph)
-    lists = {e: list(v) for e, v in _int_key_map(_read_json(args.lists), "lists").items()}
+    lists = _read_lists(args.lists)
     cfg = ListConfig(
         epsilon=args.epsilon,
         master_seed=args.seed,
@@ -188,10 +210,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify_chi_e(args) -> int:
     graph = _read_graph(args.graph)
-    coloring = {e: int(c) for e, c in _int_key_map(_read_json(args.coloring), "coloring").items()}
-    lists = None
-    if args.lists:
-        lists = {e: list(v) for e, v in _int_key_map(_read_json(args.lists), "lists").items()}
+    coloring = _int_key_map(_read_json(args.coloring), "coloring", _is_int, "an integer color")
+    lists = _read_lists(args.lists) if args.lists else None
     report = validate_coloring(graph, coloring, lists)
     payload = {
         "proper": report.proper,
@@ -235,12 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi-star", help="fractional chromatic index")
     p.add_argument("graph")
-    p.add_argument(
-        "--size-cap",
-        type=int,
-        default=None,
-        help="enumerate odd sets of at most this many vertices: a lower bound",
-    )
     p.set_defaults(func=_cmd_chi_star)
 
     p = sub.add_parser("color", help="edge-color a multigraph")

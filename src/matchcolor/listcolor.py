@@ -97,7 +97,6 @@ class ListConfig:
     mass_floor: float = 0.0
     vertex_threshold: float | None = None
     list_floor: int = 0
-    audit_locality: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.1:
@@ -175,6 +174,9 @@ class IterationContext:
 
 def build_color_subgraphs(graph: Multigraph, lists: ListMap) -> dict[int, tuple[int, ...]]:
     """Edge ids of each color's subgraph G_i, keyed by color."""
+    stray = [e for e in lists if e not in range(graph.m)]
+    if stray:
+        raise ValueError(f"lists name edge ids {stray[:5]} outside range({graph.m})")
     for eid in range(graph.m):
         if eid not in lists or not list(lists[eid]):
             raise ValueError(f"edge {eid} has no color list")
@@ -244,7 +246,7 @@ def init_iteration(
             got = calib_cache.get(edges)
             if got is None:
                 sub, kept = restrict_edges(graph, edges)
-                min_list = min(len(list(lists[h])) for h in kept)
+                min_list = min(len(set(lists[h])) for h in kept)
                 level = chi_star(sub).value
                 if level >= min_list:
                     raise InfeasibleTargetError(
@@ -252,7 +254,7 @@ def init_iteration(
                         f"incident list has {min_list} colors; marginals 1/|L_e| "
                         "need chi* below the list size"
                     )
-                targets = {j: Fraction(1, len(list(lists[h]))) for j, h in enumerate(kept)}
+                targets = {j: Fraction(1, len(set(lists[h]))) for j, h in enumerate(kept)}
                 calib = calibrate_activities(
                     sub,
                     targets,
@@ -333,14 +335,6 @@ def claims_by_edge(ctx: IterationContext, state: ColorState) -> dict[int, list[i
     return {e: sorted(cs) for e, cs in out.items()}
 
 
-def equalized_event(ctx: IterationContext, state: ColorState, e: int, c: int) -> bool:
-    """Edge e departs G_c this iteration the equalized way: uniquely claimed
-    by c, or equalizer-removed."""
-    claims = claims_by_edge(ctx, state)
-    idx = ctx.colors.index(c)
-    return claims.get(e) == [c] or e in state.held[idx]
-
-
 def post_removal_edges(ctx: IterationContext, state: ColorState) -> dict[int, tuple[int, ...]]:
     """Next iteration's color subgraphs under the three removal rules."""
     f_sets = claimed_edges(state)
@@ -385,8 +379,6 @@ def _sigma_post(
 
 
 def _fix_address(ctx: IterationContext, core: frozenset[int]):
-    audit = ctx.cfg.audit_locality
-
     def address(state: ColorState, rng: np.random.Generator) -> ColorState:
         ms = list(state.matchings)
         As = list(state.active)
@@ -399,8 +391,7 @@ def _fix_address(ctx: IterationContext, core: frozenset[int]):
                 # No edge of G_i at the core: both balls are the core itself, and
                 # a redraw there and its bits would change nothing and use no
                 # random number.
-                if audit:
-                    ctx.locality_audits += 1
+                ctx.locality_audits += 1
                 continue
             inner, outer, inside = region
             local_m = frozenset(pos[h] for h in state.matchings[idx])
@@ -418,16 +409,17 @@ def _fix_address(ctx: IterationContext, core: frozenset[int]):
                 As[idx] = As[idx] ^ a_flip
             if h_flip:
                 Hs[idx] = Hs[idx] ^ h_flip
-            if audit:
-                changed = (state.matchings[idx] ^ ms[idx]) | a_flip | h_flip
-                for e in changed:
-                    u, v = ctx.graph.endpoints[e]
-                    if u not in outer or v not in outer:
-                        raise RuntimeError(
-                            f"repair touched edge {e} of color {c} outside its "
-                            f"radius-{ctx.radius + 1} ball around {sorted(core)}"
-                        )
-                ctx.locality_audits += 1
+            # Every repair audits its locality: what it changed lies inside
+            # the outer ball.
+            changed = (state.matchings[idx] ^ ms[idx]) | a_flip | h_flip
+            for e in changed:
+                u, v = ctx.graph.endpoints[e]
+                if u not in outer or v not in outer:
+                    raise RuntimeError(
+                        f"repair touched edge {e} of color {c} outside its "
+                        f"radius-{ctx.radius + 1} ball around {sorted(core)}"
+                    )
+            ctx.locality_audits += 1
         return ColorState(tuple(ms), tuple(As), tuple(Hs))
 
     return address
@@ -502,17 +494,19 @@ def list_edge_color(
 ) -> tuple[dict[int, int], dict]:
     """Color every edge from its own list; returns (coloring, stats).
 
-    Requires min |L_e| >= ceil((1+eps) chi*).  Stats carry alpha, the
+    ``lists`` maps exactly the edge ids 0..m-1 to their lists.  A list is a
+    set of colors: repeated entries count once, in |L_e| and everywhere
+    else.  Requires min |L_e| >= ceil((1+eps) chi*).  Stats carry alpha, the
     calibration stretch K, chi*, and per-iteration records of the claimed
     ("equalized") fraction, flaws addressed, ledger drift, and the maximum
     uncolored degree.  Raises a greedy-failure error when the final pass
     finds an edge with every remaining list color blocked.
     """
     cfg = cfg or ListConfig()
+    g_edges = build_color_subgraphs(graph, lists)
     if graph.m == 0:
         return {}, {"iterations": [], "colors_used": 0, "chi_star": "0", "alpha": 1.0, "k_hat": 1.0}
-    g_edges = build_color_subgraphs(graph, lists)
-    c_min = min(len(list(lists[e])) for e in range(graph.m))
+    c_min = min(len(set(lists[e])) for e in range(graph.m))
     value = chi_star(graph).value
     need = math.ceil((1 + Fraction(str(cfg.epsilon))) * value)
     if c_min < need:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import CapacityError
 from .graphs import Multigraph
@@ -128,39 +128,6 @@ def brute_force_chromatic_index(graph: Multigraph, cap: int = CHROMATIC_CAP) -> 
     while not colorable(q):
         q += 1
     return q
-
-
-def brute_force_list_coloring(
-    graph: Multigraph,
-    lists: Mapping[int, Sequence[int]],
-    cap: int = CHROMATIC_CAP,
-) -> dict[int, int] | None:
-    """An exact proper list-edge-coloring, or None if the lists admit none."""
-    if graph.m > cap:
-        raise CapacityError(f"chromatic-index cap is {cap} edges, graph has {graph.m}")
-    for eid in range(graph.m):
-        if eid not in lists:
-            raise ValueError(f"edge {eid} has no color list")
-    vertex_colors: list[set[int]] = [set() for _ in range(graph.n)]
-    assignment: dict[int, int] = {}
-
-    def place(eid: int) -> bool:
-        if eid == graph.m:
-            return True
-        u, v = graph.endpoints[eid]
-        for c in sorted(set(lists[eid])):
-            if c not in vertex_colors[u] and c not in vertex_colors[v]:
-                vertex_colors[u].add(c)
-                vertex_colors[v].add(c)
-                assignment[eid] = c
-                if place(eid + 1):
-                    return True
-                del assignment[eid]
-                vertex_colors[u].remove(c)
-                vertex_colors[v].remove(c)
-        return False
-
-    return dict(assignment) if place(0) else None
 
 
 def _as_prob_dict(dist) -> dict[frozenset[int], float]:

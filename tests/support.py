@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from matchcolor import Multigraph, chi_star
+from matchcolor import FractionalIndex, Multigraph, chi_star, find_violated_matching_constraint
 from matchcolor.errors import CapacityError
 from matchcolor.hardcore import _lift_bundle, _logsumexp
 
@@ -323,6 +323,23 @@ def reference_dag(n: int, pairs, lam, budget: int) -> ReferenceDag:
     """An uncompiled reference DAG over the collapsed graph (``pairs``,
     bundle activities ``lam``); compile masks into it with ``node``."""
     return ReferenceDag(n, pairs, lam, budget)
+
+
+# ---------------------------------------------------------------------------
+# Reference chi*
+
+
+def reference_chi_star(graph: Multigraph) -> FractionalIndex:
+    """chi* by the capped enumeration at a cap covering the graph, kept to
+    check the Padberg-Rao oracle: raise a level from Delta to the ratio of
+    each odd set ``find_violated_matching_constraint`` finds violating."""
+    cap = max(3, graph.n if graph.n % 2 else graph.n - 1)
+    level = Fraction(graph.max_degree())
+    best = None
+    while (cert := find_violated_matching_constraint(graph, level, cap)) is not None:
+        best = cert
+        level = cert.ratio
+    return FractionalIndex(level, best or "degree", True)
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,6 @@ def test_criterion_09_list_coloring_pipeline(capsys):
                     mass_floor=0.05,
                     step_cap=1500,
                     list_floor=4,
-                    audit_locality=True,
                 )
                 coloring, stats = list_edge_color(g, lists, cfg)
                 rep = validate_coloring(g, coloring, lists=lists)
@@ -344,8 +343,8 @@ def test_criterion_09_list_coloring_pipeline(capsys):
                     },
                     sort_keys=True,
                 )
-        # audit_locality raises on any violation; a zero count would mean
-        # the audit never ran at all.
+        # Every repair's locality audit raises on a violation; a zero count
+        # would mean no repair ran at all.
         assert audits_total > 0
         _RUNS["list"] = outputs
         assert time.perf_counter() - start < 1200.0
@@ -385,7 +384,6 @@ def test_criterion_10_reproducibility(capsys):
                     mass_floor=0.05,
                     step_cap=1500,
                     list_floor=4,
-                    audit_locality=True,
                 )
                 coloring, stats = list_edge_color(g, lists, cfg)
                 text = json.dumps(

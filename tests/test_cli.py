@@ -106,6 +106,25 @@ def test_list_color_rejects_short_lists(tmp_path, capsys):
     assert "list sizes" in err
 
 
+@pytest.mark.parametrize("entries", [[0, 0, 0, 0], [0, 1, 1, 1]])
+def test_list_color_counts_distinct_colors(tmp_path, capsys, entries):
+    # A triangle needs lists of ceil(1.1 * 3) = 4 colors; repeats count once.
+    path = write_graph(tmp_path, cycle_graph(3))
+    lists_path = write_json(tmp_path, {str(e): entries for e in range(3)}, "lists.json")
+    code, out, err = run(capsys, ["list-color", path, lists_path])
+    assert code == 2
+    assert out == ""
+    assert "list sizes must reach" in err
+
+
+def test_list_color_rejects_a_list_that_is_not_an_array(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(3))
+    lists_path = write_json(tmp_path, {"0": 5, "1": [0, 1, 2, 3], "2": [0, 1, 2, 3]}, "lists.json")
+    code, _, err = run(capsys, ["list-color", path, lists_path])
+    assert code == 2
+    assert "edge 0" in err
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
@@ -181,6 +200,14 @@ def test_sample_activities_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_sample_activities_not_numbers(tmp_path, capsys):
+    path = write_graph(tmp_path, path_graph(2))
+    acts = write_json(tmp_path, {"0": [2.0], "1": 0.5}, "acts.json")
+    code, _, err = run(capsys, ["sample", path, "--exact", "--activities", acts])
+    assert code == 2
+    assert "edge 0" in err
+
+
 def test_sample_activities_missing_edge(tmp_path, capsys):
     path = write_graph(tmp_path, path_graph(2))
     acts = write_json(tmp_path, {"0": 2.0}, "acts.json")
@@ -238,6 +265,25 @@ def test_verify_list_violation(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", "chi-e", path, col, "--lists", lists])
     assert code == 1
     assert 0 in json.loads(out)["list_violations"]
+
+
+def test_verify_rejects_a_color_that_is_an_array(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(4))
+    col = write_json(tmp_path, {"0": 0, "1": [1], "2": 0, "3": 1}, "col.json")
+    code, out, err = run(capsys, ["verify", "chi-e", path, col])
+    assert code == 2
+    assert out == ""
+    assert "edge 1" in err
+
+
+def test_verify_rejects_a_list_that_is_not_an_array(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(4))
+    col = write_json(tmp_path, {"0": 0, "1": 1, "2": 0, "3": 1}, "col.json")
+    lists = write_json(tmp_path, {"0": [0, 1], "1": [0, 1], "2": 5, "3": [0, 1]}, "lists.json")
+    code, out, err = run(capsys, ["verify", "chi-e", path, col, "--lists", lists])
+    assert code == 2
+    assert out == ""
+    assert "edge 2" in err
 
 
 def test_verify_optimality_flag(tmp_path, capsys):

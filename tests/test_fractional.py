@@ -20,6 +20,7 @@ from support import (
     double_edge,
     path_graph,
     petersen,
+    reference_chi_star,
     shannon,
     star_multigraph,
     sweep_corpus,
@@ -87,7 +88,7 @@ def test_chi_star_above_delta_on_a_bridged_cubic_graph():
     index = chi_star(bridged_cubic())
     assert index.value == Fraction(7, 2)
     assert index.witness.vertices in ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))
-    assert index.value == chi_star(bridged_cubic(), size_cap=10).value
+    assert index.value == reference_chi_star(bridged_cubic()).value
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +251,13 @@ def small_multigraphs(draw, max_n=12, max_mult=6):
 @example(Multigraph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]))
 def test_oracle_matches_the_enumeration(graph):
     """The Padberg-Rao oracle and the capped enumeration at a cap covering
-    the graph agree on chi*, and the oracle's witness is a connected odd set
-    attaining it."""
+    the graph (``reference_chi_star``) agree on chi*, and the oracle's
+    witness is a connected odd set attaining it."""
     if graph.m == 0:
         return
     index = chi_star(graph)
     assert index.exhaustive
-    assert index.value == chi_star(graph, size_cap=graph.n).value
+    assert index.value == reference_chi_star(graph).value
     if index.witness == "degree":
         assert index.value == graph.max_degree()
         return
@@ -347,16 +348,6 @@ def test_cut_tree_is_a_gomory_hu_cut_tree(graph, extra, q):
             below |= more
         assert weight[v] == nx.cut_size(aux, below, weight="capacity")
         assert weight[v] == nx.maximum_flow_value(aux, v, parent[v])
-
-
-def test_size_cap_lower_bound():
-    # The Petersen 5-cycles witness 5/2; a cap of 3 only sees triangles.
-    index = chi_star(petersen(), size_cap=3)
-    assert not index.exhaustive
-    assert index.value == 3  # degree still dominates here
-    wide = chi_star(cycle_graph(9), size_cap=3)
-    assert not wide.exhaustive
-    assert wide.value <= chi_star(cycle_graph(9)).value
 
 
 # ---------------------------------------------------------------------------

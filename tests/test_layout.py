@@ -137,3 +137,56 @@ def test_src_imports_only_stdlib_and_numpy():
                 if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}
             ]
     assert offenders == []
+
+
+# The verification API the acceptance criteria import: nothing in ``src`` or
+# ``bench`` calls it.
+VERIFICATION_API = {"colorer.round_flaw_specs", "colorer.round_measure", "graphs.is_matching"}
+
+
+def referenced_names(tree, strings=False):
+    """Identifiers a syntax tree refers to: names, attributes and imported
+    names, and with ``strings`` also string constants that are identifiers."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.add(node.value)
+    return out
+
+
+def test_every_definition_is_reached():
+    """Every top-level function and class in ``src`` is referenced outside
+    its own definition: from its module or another ``src`` module, from
+    ``bench/`` (which wraps functions by name), or from ``matchcolor.__all__``.
+    ``oracle`` is exempt, since its brute-force references serve the tests,
+    and so is ``VERIFICATION_API``."""
+    bench = SRC.parents[1] / "bench"
+    assert (bench / "spans.py").exists()
+    reached = set(matchcolor.__all__)
+    for path in bench.rglob("*.py"):
+        reached |= referenced_names(ast.parse(path.read_text()), strings=True)
+    modules = {
+        p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"
+    }
+    # What each top-level statement of src refers to, so that a definition
+    # is reached when a statement other than itself names it.
+    refs = [(stmt, referenced_names(stmt)) for tree in modules.values() for stmt in tree.body]
+    offenders = []
+    for module, tree in modules.items():
+        if module == "oracle":
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if f"{module}.{node.name}" in VERIFICATION_API or node.name in reached:
+                continue
+            if not any(node.name in names for stmt, names in refs if stmt is not node):
+                offenders.append(f"{module}.{node.name}")
+    assert offenders == []

@@ -18,7 +18,6 @@ from matchcolor.listcolor import (
     claimed_edges,
     claims_by_edge,
     default_alpha,
-    equalized_event,
     equalizer_probability,
     init_iteration,
     make_iteration_selector,
@@ -140,6 +139,16 @@ def test_init_iteration_calibrates_to_list_reciprocals(c5_ctx):
     assert ctx.k_hat > 0.0
 
 
+def test_init_iteration_targets_count_distinct_colors():
+    g = cycle_graph(5)
+    lists = {e: [0, 1, 2, 2, 0] for e in range(g.m)}
+    cfg = ListConfig(master_seed=11)
+    ctx = init_iteration(g, build_color_subgraphs(g, lists), lists, cfg, 1, range(g.m))
+    for c in ctx.colors:
+        for e in range(g.m):
+            assert ctx.marginals[c][e] == pytest.approx(1 / 3, abs=1e-6)
+
+
 def test_init_iteration_equalizer_table(c5_ctx):
     _, _, ctx = c5_ctx
     # alpha = 0.4, m = 1/3 everywhere:
@@ -170,7 +179,7 @@ def test_list_repair_redraws_only_colors_with_an_edge_at_the_core(monkeypatch):
     g = list_instance(0)
     lists = staggered_lists(g, list_size_for(g))
     subs = build_color_subgraphs(g, lists)
-    cfg = ListConfig(master_seed=0, t_override=2, audit_locality=True)
+    cfg = ListConfig(master_seed=0, t_override=2)
     ctx = init_iteration(g, subs, lists, cfg, 1, range(g.m), radius=2)
     state = sample_iteration(ctx)
     resampled = []
@@ -195,10 +204,10 @@ def test_list_repair_redraws_only_colors_with_an_edge_at_the_core(monkeypatch):
 
 def test_init_iteration_infeasible_lists():
     g = cycle_graph(3)  # chi* = 3
-    lists = uniform_lists(g, 2)
-    subs = build_color_subgraphs(g, lists)
-    with pytest.raises(InfeasibleTargetError, match="chi[*] = 3"):
-        init_iteration(g, subs, lists, ListConfig(), 1, range(g.m))
+    for lists in (uniform_lists(g, 2), {e: [0, 0, 1, 1] for e in range(g.m)}):
+        subs = build_color_subgraphs(g, lists)
+        with pytest.raises(InfeasibleTargetError, match="chi[*] = 3"):
+            init_iteration(g, subs, lists, ListConfig(), 1, range(g.m))
 
 
 def test_sample_iteration_structure_and_determinism(c5_ctx):
@@ -267,13 +276,19 @@ def test_post_removal_rules():
     assert nxt[1] == (0,)
 
 
+def equalized(ctx, state, e, c):
+    """Edge e departs G_c the equalized way: uniquely claimed by c, or
+    equalizer-removed; ``list_edge_color`` counts these as claim hits."""
+    return claims_by_edge(ctx, state).get(e) == [c] or e in state.held[ctx.colors.index(c)]
+
+
 def test_equalized_event_cases():
     ctx = hand_context()
     state = hand_state()
-    assert equalized_event(ctx, state, 0, 0)  # uniquely claimed by color 0
-    assert not equalized_event(ctx, state, 3, 0)  # claimed by the other color
-    assert equalized_event(ctx, state, 1, 1)  # equalizer removal
-    assert not equalized_event(ctx, state, 2, 0)  # nothing happened to it
+    assert equalized(ctx, state, 0, 0)  # uniquely claimed by color 0
+    assert not equalized(ctx, state, 3, 0)  # claimed by the other color
+    assert equalized(ctx, state, 1, 1)  # equalizer removal
+    assert not equalized(ctx, state, 2, 0)  # nothing happened to it
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +348,7 @@ def test_departure_frequency_matches_alpha():
         cfg = ListConfig(master_seed=seed, alpha_override=0.4)
         ctx = init_iteration(g, subs, lists, cfg, 1, [0])
         state = sample_iteration(ctx)
-        if equalized_event(ctx, state, 0, 0):
+        if equalized(ctx, state, 0, 0):
             hits += 1
     freq = hits / trials
     # 3 sigma for p = 0.4 over 1500 trials is about 0.038.
@@ -356,10 +371,30 @@ def test_list_edge_color_rejects_short_lists():
         list_edge_color(g, uniform_lists(g, 2))
 
 
+@pytest.mark.parametrize("entries", [[0, 0, 0, 0], [0, 1, 1, 1]])
+def test_lists_count_distinct_colors(monkeypatch, entries):
+    """Four entries naming one or two colors are lists of that many colors:
+    on a triangle (chi* = 3, so lists need ceil(1.1 * 3) = 4 colors) the
+    size check rejects them before any calibration."""
+    monkeypatch.setattr(listcolor, "calibrate_activities", None)
+    g = cycle_graph(3)
+    with pytest.raises(ValueError, match="list sizes must reach"):
+        list_edge_color(g, {e: entries for e in range(g.m)})
+
+
+def test_lists_name_exactly_the_edge_ids():
+    g = cycle_graph(3)
+    lists = uniform_lists(g, 4)
+    with pytest.raises(ValueError, match=r"edge ids \[3\] outside range\(3\)"):
+        list_edge_color(g, {**lists, 3: [0, 1, 2, 3]})
+    with pytest.raises(ValueError, match="outside"):
+        list_edge_color(Multigraph(3, []), {0: [1]})
+
+
 def test_list_edge_color_cycle():
     g = cycle_graph(5)
     lists = uniform_lists(g, 3)  # ceil(1.1 * 5/2) = 3
-    cfg = ListConfig(master_seed=5, t_override=1, audit_locality=True)
+    cfg = ListConfig(master_seed=5, t_override=1)
     coloring, stats = list_edge_color(g, lists, cfg)
     rep = validate_coloring(g, coloring, lists=lists)
     assert rep.ok

@@ -9,13 +9,11 @@ from matchcolor.errors import CapacityError
 from matchcolor.oracle import (
     brute_force_chromatic_index,
     brute_force_gamma,
-    brute_force_list_coloring,
     enumerate_matchings,
     exact_distribution,
     tv_distance,
 )
 from support import cycle_graph, double_edge, path_graph, petersen, shannon
-from matchcolor.graphs import validate_coloring
 
 
 # ---------------------------------------------------------------------------
@@ -118,37 +116,3 @@ def test_chromatic_index_petersen_is_class_two():
 def test_chromatic_index_cap():
     with pytest.raises(CapacityError):
         brute_force_chromatic_index(path_graph(17))
-
-
-# ---------------------------------------------------------------------------
-# List coloring
-
-
-def test_list_coloring_feasible():
-    g = cycle_graph(4)
-    lists = {0: [0, 1], 1: [1, 2], 2: [0, 2], 3: [1, 0]}
-    out = brute_force_list_coloring(g, lists)
-    assert out is not None
-    rep = validate_coloring(g, out, lists=lists)
-    assert rep.ok and not rep.uncolored
-
-
-def test_list_coloring_infeasible():
-    g = cycle_graph(3)
-    assert brute_force_list_coloring(g, {e: [0, 1] for e in range(3)}) is None
-    assert brute_force_list_coloring(g, {e: [0, 1, 2] for e in range(3)}) is not None
-
-
-def test_list_coloring_matches_chromatic_index_on_uniform_lists():
-    g = shannon(2)
-    chromatic = brute_force_chromatic_index(g)
-    assert brute_force_list_coloring(g, {e: list(range(chromatic)) for e in range(g.m)})
-    assert (
-        brute_force_list_coloring(g, {e: list(range(chromatic - 1)) for e in range(g.m)})
-        is None
-    )
-
-
-def test_list_coloring_requires_full_lists():
-    with pytest.raises(ValueError):
-        brute_force_list_coloring(path_graph(2), {0: [1]})
