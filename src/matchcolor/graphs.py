@@ -231,9 +231,10 @@ def validate_coloring(
     lists: Mapping[int, Iterable[int]] | None = None,
 ) -> ColoringReport:
     """Check properness (no two incident edges share a color) and list membership."""
-    for eid in coloring:
-        if not (0 <= eid < graph.m):
-            raise ValueError(f"colored edge id {eid} not in graph")
+    for kind, ids in (("colored", coloring), ("list", lists or ())):
+        for eid in ids:
+            if not (0 <= eid < graph.m):
+                raise ValueError(f"{kind} edge id {eid} not in graph")
     conflicts = []
     for v in range(graph.n):
         by_color: dict[int, int] = {}

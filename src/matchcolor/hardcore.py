@@ -21,17 +21,17 @@ gives their covariance, the second derivatives of log Z; and an exact draw
 walks the DAG from its root, or from the node of a vertex region for the law
 induced there.
 
-Exact calibration is damped Newton on the convex max-entropy dual
-log Z - sum_e t_e log lambda_e, with the exact Hessian from those sweeps.
-It compiles its starting model once, fits one activity per class of
-parallel edges with a common target and start, and takes a handful of
-iterations even near criticality; a target on or outside the matching
-polytope's boundary ends it early with CalibrationError.  It returns the
-model at the fitted activities, holding that DAG, so a pipeline draws from
-the model it calibrated without a second compile.  Chain-path calibration,
-which has no Hessian, is damped iterative proportional fitting on sampled
-marginals, stopped by default within three standard errors of its sampling
-noise.
+Calibration is damped Newton on the convex max-entropy dual
+log Z - sum_e t_e log lambda_e, over one activity per class of parallel
+edges with a common target and start, on either path.  The exact path
+compiles its starting model once, takes the Hessian from those sweeps and
+a line search on log Z, and needs a handful of iterations even near
+criticality; a target on or outside the matching polytope's boundary ends
+it early with CalibrationError.  It returns the model at the fitted
+activities, holding that DAG, so a pipeline draws from the model it
+calibrated without a second compile.  The chain path takes the gradient
+and Hessian from each pass's chain draws, the classes' edge counts, and
+stops by default within three standard errors of its sampling noise.
 
 Approximate sampling is a Metropolis chain over matchings of the collapsed
 graph with insert / delete / slide proposals, driven by the generator the
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -838,45 +838,105 @@ def _cho_solve(low: list[list[float]], b: list[float]) -> list[float]:
     return out
 
 
+class _ExactDual:
+    """The dual on the fit's compiled DAG: class marginals by a forward and a
+    reverse sweep, log Z by a forward sweep, and the exact Hessian W C W^T +
+    diag(W p) - (W o p) W^T, where W_cs = n_c a_c / lambda_s for s =
+    slot[c], p holds the bundle marginals and C their covariance
+    (``bundle_covariance``).  Classes are numbered in bundle order, so H's
+    lower triangle reads C's, and ``seqs[s]`` lists bundle s's classes in
+    member order, so bundle sums add the same floats as a per-edge sum."""
+
+    def __init__(self, dag: _ZDag, root: int, seqs: list[list[int]], slot: list[int], counts: list[int]):
+        self.dag, self.root, self.seqs, self.slot, self.counts = dag, root, seqs, slot, counts
+        # Classes of each bundle, for the bundle-local terms of H.
+        self.peers: list[list[int]] = [[] for _ in seqs]
+        for c, s in enumerate(slot):
+            self.peers[s].append(c)
+
+    def log_z(self, acts: list[float]) -> float:
+        self.lam = [sum(map(acts.__getitem__, seq)) for seq in self.seqs]
+        self.dag.evaluate(self.lam)
+        return self.dag.val[self.root]
+
+    def measure(self, acts: list[float]) -> list[float]:
+        self.log_z(acts)
+        self.p = p = self.dag.bundle_marginals(self.root)
+        return [p[s] * a / self.lam[s] for s, a in zip(self.slot, acts)]
+
+    def hessian(self, acts: list[float]) -> list[list[float]]:
+        slot, lam, p = self.slot, self.lam, self.p
+        cov = self.dag.bundle_covariance(self.root)
+        wc = [n * a / lam[s] for n, a, s in zip(self.counts, acts, slot)]
+        hess = []
+        for c, s in enumerate(slot):
+            w = wc[c]
+            cs = cov[s]
+            row = [w * cs[sd] * wd for sd, wd in zip(slot[: c + 1], wc)]
+            for d in self.peers[s]:
+                if d <= c:
+                    row[d] -= w * wc[d] * p[s]
+            row[c] += w * p[s]
+            hess.append(row)
+        return hess
+
+
+class _ChainDual:
+    """The dual from ``samples`` chain draws per point, made by the calls
+    ``estimate_marginals`` makes: a class's marginal is its mean count of
+    drawn edges per member, and the Hessian is the counts' sample covariance
+    plus a 1/samples ridge on its diagonal, so it is positive definite.
+    log Z is unknown."""
+
+    log_z = None
+
+    def __init__(
+        self, graph: Multigraph, cls: list[int], counts: list[int], chain: ChainConfig,
+        samples: int, rng: np.random.Generator,
+    ):
+        self.graph, self.cls, self.counts = graph, cls, counts
+        self.chain, self.samples, self.rng = chain, samples, rng
+
+    def measure(self, acts: list[float]) -> list[float]:
+        model = HardCoreModel(self.graph, [acts[c] for c in self.cls])
+        self.drawn = np.zeros((self.samples, len(acts)))
+        for row in self.drawn:
+            for eid in sample_matching(model, self.chain, rng=self.rng):
+                row[self.cls[eid]] += 1.0
+        return (self.drawn.mean(axis=0) / self.counts).tolist()
+
+    def hessian(self, acts: list[float]) -> list[list[float]]:
+        dev = self.drawn - self.drawn.mean(axis=0)
+        cov = (dev.T @ dev + np.eye(len(acts))) / self.samples
+        return [row[: c + 1] for c, row in enumerate(cov.tolist())]
+
+
 def _newton_fit(
-    dag: _ZDag,
-    root: int,
-    seqs: list[list[int]],
-    slot: list[int],
-    counts: list[int],
-    acts: list[float],
-    tc: list[float],
-    tol: float,
-    max_iters: int,
+    dual: _ExactDual | _ChainDual, acts: list[float], tc: list[float], tol: float, max_iters: int
 ) -> _Fit:
     """Damped Newton on the max-entropy dual over per-class activities.
 
-    Class c holds ``counts[c]`` host edges of bundle ``slot[c]``, each at
-    activity a_c and target t_c.  With theta_c = log a_c the fit minimizes
-    the convex F(theta) = log Z - sum_c n_c t_c theta_c, whose gradient is
-    g_c = n_c (mu_c - t_c) and whose Hessian is W C W^T + diag(W p) -
-    (W o p) W^T, where W_cs = n_c a_c / lambda_s for s = slot[c], p holds
-    the bundle marginals and C their covariance (``bundle_covariance``);
-    classes are numbered in bundle order, so H's lower triangle reads C's.
-    Each iteration solves H d = -g, scales d down to at most four e-folds
-    per class, and halves it until F falls by the Armijo fraction (forward
-    sweeps only).  Once within ``tol``, one more step on the last Cholesky
-    factor (no new covariance) takes the fit close to round-off, and the
-    better of the two points is kept.
+    Class c holds ``dual.counts[c]`` host edges, each at activity a_c and
+    target t_c.  With theta_c = log a_c the fit minimizes the convex F(theta)
+    = log Z - sum_c n_c t_c theta_c, whose gradient is g_c = n_c (mu_c - t_c)
+    and whose Hessian is the covariance of the classes' edge counts in the
+    matching; ``dual`` measures both.  Each iteration solves H d = -g and
+    scales d down to at most four e-folds per class.  Where ``dual`` knows
+    log Z, d is halved until F falls by the Armijo fraction, and once within
+    ``tol`` one more step on the last Cholesky factor (no new covariance)
+    takes the fit close to round-off; the better of the two points is kept.
+    Otherwise (the chain) d is taken whole, and the fit ends at ``tol``.
 
     The fit stops short, unconverged, when H is not numerically positive
     definite, no halving decreases F, or an activity would leave
     [1e-200, 1e200]: each means the target sits on or outside the matching
     polytope's boundary, where the optimum lies at infinity.  Iterations
-    count the points whose marginals were evaluated; backtracking trials
+    count the points whose marginals were measured; backtracking trials
     are not counted.
     """
+    counts = dual.counts
     log, exp = math.log, math.exp
     lin = [n * t for n, t in zip(counts, tc)]
-    # Classes of each bundle, for the bundle-local terms of H.
-    peers: list[list[int]] = [[] for _ in seqs]
-    for c, s in enumerate(slot):
-        peers[s].append(c)
     best_acts = acts
     best_ach = None
     best_err = math.inf
@@ -888,55 +948,43 @@ def _newton_fit(
         big = max(map(abs, step))
         return [d * (4.0 / big) for d in step] if big > 4.0 else step
 
-    def measure(acts: list[float]) -> tuple[list[float], list[float], list[float], float]:
-        # Bundle activities, bundle marginals, class marginals, max error.
-        lam = [sum(map(acts.__getitem__, seq)) for seq in seqs]
-        dag.evaluate(lam)
-        p = dag.bundle_marginals(root)
-        ach = [p[s] * a / lam[s] for s, a in zip(slot, acts)]
-        return lam, p, ach, max([abs(a - t) for a, t in zip(ach, tc)])
+    def measure(acts: list[float]) -> tuple[list[float], float]:
+        ach = dual.measure(acts)
+        return ach, max([abs(a - t) for a, t in zip(ach, tc)])
 
     for iterations in range(1, max_iters + 1):
-        lam, p, ach, err = measure(acts)
+        ach, err = measure(acts)
         if err < best_err:
             best_err, best_acts, best_ach = err, acts, ach
         grad = [n * m - x for n, m, x in zip(counts, ach, lin)]
         if err <= tol:
-            if low is not None and iterations < max_iters:
+            if dual.log_z is not None and low is not None and iterations < max_iters:
                 iterations += 1
                 acts = [a * exp(d) for a, d in zip(acts, newton_step(low, grad))]
-                _, _, ach, err = measure(acts)
+                ach, err = measure(acts)
                 if err < best_err:
                     best_err, best_acts, best_ach = err, acts, ach
             return best_acts, best_ach, best_err, iterations, None
-        cov = dag.bundle_covariance(root)
-        wc = [n * a / lam[s] for n, a, s in zip(counts, acts, slot)]
-        hess = []
-        for c, s in enumerate(slot):
-            w = wc[c]
-            cs = cov[s]
-            row = [w * cs[sd] * wd for sd, wd in zip(slot[: c + 1], wc)]
-            for d in peers[s]:
-                if d <= c:
-                    row[d] -= w * wc[d] * p[s]
-            row[c] += w * p[s]
-            hess.append(row)
-        low = _cholesky(hess)
+        # ``hessian`` reads the sweeps or draws of the last ``measure``.
+        low = _cholesky(dual.hessian(acts))
         if low is None:
             return best_acts, best_ach, best_err, iterations, _SINGULAR
         step = newton_step(low, grad)
         if any(not 1e-200 <= a * exp(d) <= 1e200 for a, d in zip(acts, step)):
             return best_acts, best_ach, best_err, iterations, _DIVERGED
+        if dual.log_z is None:
+            acts = [a * exp(d) for a, d in zip(acts, step)]
+            continue
         theta = [log(a) for a in acts]
-        f0 = dag.val[root] - sum([x * y for x, y in zip(lin, theta)])
+        log_z = dual.log_z(acts)
+        f0 = log_z - sum([x * y for x, y in zip(lin, theta)])
         slope = sum([g * d for g, d in zip(grad, step)])
         # Round-off in F, which a nearly converged step can fall within.
-        slack = 1e-13 * (dag.val[root] + sum([abs(x * y) for x, y in zip(lin, theta)]))
+        slack = 1e-13 * (log_z + sum([abs(x * y) for x, y in zip(lin, theta)]))
         t = 1.0
         for _ in range(40):
             trial = [a * exp(t * d) for a, d in zip(acts, step)]
-            dag.evaluate([sum(map(trial.__getitem__, seq)) for seq in seqs])
-            f = dag.val[root] - sum([x * (y + t * d) for x, y, d in zip(lin, theta, step)])
+            f = dual.log_z(trial) - sum([x * (y + t * d) for x, y, d in zip(lin, theta, step)])
             if f <= f0 + 1e-4 * t * slope + slack:
                 acts = trial
                 break
@@ -944,50 +992,7 @@ def _newton_fit(
         else:
             return best_acts, best_ach, best_err, iterations, _NO_DESCENT
     if best_ach is None:
-        best_ach = measure(acts)[2]
-    return best_acts, best_ach, best_err, iterations, _CAP_REACHED
-
-
-def _ipf_fit(
-    marginals_of: Callable[[list[float]], list[float]],
-    acts: list[float],
-    tc: list[float],
-    tol: float,
-    max_iters: int,
-) -> _Fit:
-    """Damped iterative proportional fitting on sampled marginals.
-
-    Each pass moves lambda <- lambda * (target/marginal)^exponent, clamped
-    to four e-folds; the exponent halves (down to 1/64) whenever the error
-    has grown twice in a row.
-    """
-    logt = [math.log(t) for t in tc]
-    log, exp = math.log, math.exp
-    exponent = 1.0
-    prev_err = math.inf
-    prev_prev_err = math.inf
-    best_acts = acts
-    best_ach = None
-    best_err = math.inf
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        ach = marginals_of(acts)
-        err = max([abs(a - t) for a, t in zip(ach, tc)])
-        if err < best_err:
-            best_err, best_acts, best_ach = err, acts, ach
-        if err <= tol:
-            return best_acts, best_ach, best_err, iterations, None
-        if err > prev_err > prev_prev_err:
-            exponent = max(exponent * 0.5, 1.0 / 64.0)
-        prev_prev_err, prev_err = prev_err, err
-        # Clamp to four e-folds per pass; a vanishing marginal would
-        # otherwise request an overflowing jump in one step.
-        applied = [
-            min(4.0, max(-4.0, exponent * (a - log(max(b, 1e-300))))) for a, b in zip(logt, ach)
-        ]
-        acts = [a * exp(step) for a, step in zip(acts, applied)]
-    if best_ach is None:
-        best_ach = marginals_of(acts)
+        best_ach = measure(acts)[0]
     return best_acts, best_ach, best_err, iterations, _CAP_REACHED
 
 
@@ -1013,18 +1018,17 @@ def calibrate_activities(
     step count.  ``initial`` warm-starts the activities (useful when
     recalibrating after small edits).
 
-    The exact path runs damped Newton on the convex max-entropy dual
-    log Z - sum_e t_e log lambda_e (``_newton_fit``), with the exact Hessian
-    from the compiled DAG's covariance sweeps; it takes a handful of
-    iterations, even near criticality.  Parallel edges with the same target
-    and the same starting activity form a class: their marginals and updates
-    agree bit for bit, so the fit runs on one activity per class and expands
-    them to host edges at the end.  The chain path, which has no Hessian,
-    runs damped iterative proportional fitting on sampled marginals
-    (``_ipf_fit``), one class per edge; its default ``tol`` is three standard
-    errors of the noisiest estimate, 3 max_e sqrt(t_e (1 - t_e) / samples),
-    since a tighter tol is below the noise and is never met.  Either way
-    ``iterations`` counts the points whose marginals were evaluated.
+    Both paths run damped Newton on the convex max-entropy dual
+    log Z - sum_e t_e log lambda_e (``_newton_fit``) over classes: parallel
+    edges with the same target and starting activity, whose marginals and
+    updates agree, share one activity.  The exact path measures the dual on
+    the compiled DAG (``_ExactDual``) and takes a handful of iterations, even
+    near criticality.  The chain path measures it from ``samples`` chain
+    draws per pass (``_ChainDual``) and reports each class's mean marginal;
+    its default ``tol`` is three standard errors of one edge's estimate,
+    3 max_e sqrt(t_e (1 - t_e) / samples), since a tighter tol is below the
+    noise and is never met.  Either way ``iterations`` counts the points
+    whose marginals were measured.
 
     Uniform targets are checked against chi* first (memoized, so a caller
     that just measured the graph pays nothing) and raise
@@ -1072,7 +1076,7 @@ def calibrate_activities(
                 lam[eid] = float(val)
 
     start = HardCoreModel(graph, lam, sampler, chain.steps)
-    # Compiled once; each exact iteration sweeps it (``_newton_fit``).
+    # Compiled once; each exact iteration sweeps it (``_ExactDual``).
     try:
         dag = start.dag()
         root = dag.node(dag.full)
@@ -1080,45 +1084,38 @@ def calibrate_activities(
     except CapacityError:
         exact = False
     method = "exact" if exact else "mcmc"
+    if not exact and samples <= 0:
+        raise ValueError("samples must be positive")
     if tol is None:
         tol = 1e-6 if exact else 3.0 * max(math.sqrt(t * (1.0 - t) / samples) for t in tf.values())
     if not exact and rng is None:
         rng = stream(0, "calibrate")
 
-    # ``cls`` maps each host edge to its activity class and ``rep`` each
-    # class to its first member; on the chain path every edge is a class.
-    cls = list(range(graph.m))
-    rep = cls
-    if exact:
-        rep = []
-        slot: list[int] = []
-        ids: dict[tuple[int, float, float], int] = {}
-        for s, mem in enumerate(start.members):
-            for eid in mem:
-                key = (s, tf[eid], lam[eid])
-                if key not in ids:
-                    ids[key] = len(rep)
-                    rep.append(eid)
-                    slot.append(s)
-                cls[eid] = ids[key]
-        # Each bundle's member classes, in member order: bundle sums add up
-        # the same floats in the same order as a per-edge sum.
-        seqs = [[cls[eid] for eid in mem] for mem in start.members]
-
+    # ``cls`` maps each host edge to its activity class, ``rep`` each class
+    # to its first member and ``slot`` to its bundle.
+    cls = [0] * graph.m
+    rep: list[int] = []
+    slot: list[int] = []
+    ids: dict[tuple[int, float, float], int] = {}
+    for s, mem in enumerate(start.members):
+        for eid in mem:
+            key = (s, tf[eid], lam[eid])
+            if key not in ids:
+                ids[key] = len(rep)
+                rep.append(eid)
+                slot.append(s)
+            cls[eid] = ids[key]
+    counts = np.bincount(cls).tolist()
     acts = [lam[eid] for eid in rep]
     tc = [tf[eid] for eid in rep]
     if exact:
-        counts = [0] * len(rep)
-        for c in cls:
-            counts[c] += 1
-        fit = _newton_fit(dag, root, seqs, slot, counts, acts, tc, tol, max_iters)
+        # Each bundle's member classes, in member order: bundle sums add up
+        # the same floats in the same order as a per-edge sum.
+        seqs = [[cls[eid] for eid in mem] for mem in start.members]
+        dual: _ExactDual | _ChainDual = _ExactDual(dag, root, seqs, slot, counts)
     else:
-
-        def estimate(acts: list[float]) -> list[float]:
-            est = estimate_marginals(HardCoreModel(graph, acts), chain, samples, rng=rng)
-            return [est[eid] for eid in range(graph.m)]
-
-        fit = _ipf_fit(estimate, acts, tc, tol, max_iters)
+        dual = _ChainDual(graph, cls, counts, chain, samples, rng)
+    fit = _newton_fit(dual, acts, tc, tol, max_iters)
     best_acts, best_ach, best_err, iterations, stall = fit
     converged = stall is None
 

@@ -51,6 +51,55 @@ def test_chi_star_degree_witness(tmp_path, capsys):
     assert json.loads(out)["witness"] == "degree"
 
 
+def write_text(tmp_path, text, name="g.txt"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+EDGELESS = ["p 0 0\n", "p 3 0\n"]
+
+
+@pytest.mark.parametrize("text", EDGELESS, ids=["n0", "n3"])
+def test_chi_star_of_an_edgeless_graph_exits_two(tmp_path, capsys, text):
+    code, out, err = run(capsys, ["chi-star", write_text(tmp_path, text)])
+    assert code == 2
+    assert out == ""
+    assert "edgeless" in err
+
+
+@pytest.mark.parametrize("text", EDGELESS, ids=["n0", "n3"])
+def test_edgeless_graphs_give_empty_outputs(tmp_path, capsys, text):
+    path = write_text(tmp_path, text)
+    lists = write_json(tmp_path, {}, "lists.json")
+    code, out, _ = run(capsys, ["color", path])
+    assert code == 0
+    assert json.loads(out)["coloring"] == {}
+    code, out, _ = run(capsys, ["list-color", path, lists])
+    assert code == 0
+    assert json.loads(out)["coloring"] == {}
+    code, out, _ = run(capsys, ["calibrate", path, "--target", "1/3"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["activities"] == {} and payload["achieved"] == {}
+    code, out, _ = run(capsys, ["sample", path])
+    assert code == 0
+    assert json.loads(out)["matchings"] == [[]]
+
+
+def test_disconnected_graph_runs_through_chi_star_and_color(tmp_path, capsys):
+    text = "p 5 2\ne 0 1\ne 3 4\n"
+    path = write_text(tmp_path, text)
+    code, out, _ = run(capsys, ["chi-star", path])
+    assert code == 0
+    assert json.loads(out)["chi_star"] == "1"
+    code, out, _ = run(capsys, ["color", path])
+    assert code == 0
+    coloring = {int(e): c for e, c in json.loads(out)["coloring"].items()}
+    assert validate_coloring(load_multigraph(text), coloring).ok
+    assert sorted(coloring) == [0, 1]
+
+
 # ---------------------------------------------------------------------------
 # color
 
@@ -284,6 +333,16 @@ def test_verify_rejects_a_list_that_is_not_an_array(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "edge 2" in err
+
+
+def test_verify_rejects_a_list_key_outside_the_graph(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(3))
+    col = write_json(tmp_path, {"0": 0, "1": 1, "2": 2}, "col.json")
+    lists = write_json(tmp_path, {"0": [0], "1": [1], "2": [2], "9": [1]}, "lists.json")
+    code, out, err = run(capsys, ["verify", "chi-e", path, col, "--lists", lists])
+    assert code == 2
+    assert out == ""
+    assert "9" in err
 
 
 def test_verify_optimality_flag(tmp_path, capsys):

@@ -204,6 +204,14 @@ def test_validate_coloring_rejects_unknown_edge():
         validate_coloring(path_graph(1), {4: 0})
 
 
+def test_validate_coloring_rejects_an_unknown_list_edge():
+    # A list keyed outside 0..m-1 is rejected even though no colored edge
+    # reads it.
+    g = cycle_graph(3)
+    with pytest.raises(ValueError, match="9"):
+        validate_coloring(g, {0: 0, 1: 1, 2: 2}, lists={0: [0], 1: [1], 2: [2], 9: [1]})
+
+
 def test_sweep_corpus_is_deterministic():
     a = sweep_corpus(11, 12)
     b = sweep_corpus(11, 12)

@@ -1,5 +1,6 @@
 """Hard-core matching distributions: exact computation, sampling, calibration."""
 
+import hashlib
 import math
 import random
 import sys
@@ -27,8 +28,9 @@ from matchcolor import (
 )
 from matchcolor import hardcore
 from matchcolor.errors import CapacityError
-from matchcolor.graphs import Multigraph, induced_subgraph, is_matching
+from matchcolor.graphs import Multigraph, induced_subgraph, is_matching, restrict_edges
 from matchcolor.hardcore import default_steps, draw_matching, estimate_marginals, sampler_marginals
+from matchcolor.listcolor import build_color_subgraphs
 from matchcolor.oracle import enumerate_matchings, exact_distribution, tv_distance
 from support import (
     cubic_graph,
@@ -36,11 +38,13 @@ from support import (
     double_edge,
     gs_instance,
     list_instance,
+    list_size_for,
     path_graph,
     petersen,
     reference_chain,
     reference_dag,
     shannon,
+    staggered_lists,
     star_multigraph,
     sweep_corpus,
     sweep_multigraph,
@@ -887,6 +891,90 @@ def test_chain_calibration_ends_within_its_noise():
         assert r.max_error <= 3.0 * math.sqrt(1 / 8 * 7 / 8 / 400)
     assert time.process_time() - start < 10.0
     assert r.method == "mcmc"
+
+
+def tripled_hexagon() -> Multigraph:
+    """A 6-cycle with every edge tripled, plus a chord."""
+    return Multigraph(6, [(i, (i + 1) % 6) for i in range(6) for _ in range(3)] + [(0, 3)])
+
+
+def test_chain_calibration_converges_on_tripled_bundles():
+    # Pooling a bundle's three members into one class cuts the noise of
+    # its marginal by sqrt(3), so the fit converges within the tol that
+    # one edge's noise sets.  Per-edge proportional fitting took 10 passes
+    # on this stream (4-11 over ten streams); Newton takes 2-4.
+    g = tripled_hexagon()
+    r = calibrate_activities(
+        g, Fraction(1, 8), max_iters=4000, chain=ChainConfig(steps=400), samples=400,
+        sampler="chain",
+    )
+    assert r.method == "mcmc" and r.converged
+    assert r.max_error <= 3.0 * math.sqrt(1 / 8 * 7 / 8 / 400)
+    assert r.iterations <= 5
+
+
+def test_chain_calibration_reports_class_means():
+    # Members of a bundle with one target and one start share a class: one
+    # activity and one achieved marginal, the class's mean count per member.
+    # The first pass draws what a chain estimate at the start draws.
+    g = tripled_hexagon()
+    chain = ChainConfig(steps=400)
+    with pytest.raises(CalibrationError) as err:
+        calibrate_activities(
+            g, Fraction(1, 8), tol=1e-9, max_iters=1, chain=chain, samples=200,
+            sampler="chain", rng=stream(5, "classes"),
+        )
+    r = err.value.best
+    est = estimate_marginals(HardCoreModel(g, [1 / 7] * g.m), chain, 200, rng=stream(5, "classes"))
+    model = HardCoreModel(g, r.activities)
+    for mem in model.members:
+        assert len({r.activities[e] for e in mem}) == 1
+        assert len({r.achieved[e] for e in mem}) == 1
+        assert math.isclose(r.achieved[mem[0]], sum(est[e] for e in mem) / len(mem), abs_tol=1e-12)
+
+
+def test_chain_calibration_of_a_multigraph_takes_few_passes():
+    # At 1/(1.25 chi*) with 4000-step draws, per-edge proportional fitting
+    # took 13 passes on this stream (4-20 over five streams); Newton on
+    # pooled classes takes 1 (1-4).
+    g = list_instance(1)
+    r = calibrate_activities(
+        g, 1 / (Fraction(5, 4) * chi_star(g).value), chain=ChainConfig(steps=4000),
+        samples=400, sampler="chain",
+    )
+    assert r.method == "mcmc" and r.converged
+    assert r.iterations <= 3
+
+
+def _list_color_fit():
+    """Color 0's first-iteration subgraph of ``list_instance(0)`` under
+    staggered lists, and its 1/|L_e| targets."""
+    g = list_instance(0)
+    lists = staggered_lists(g, list_size_for(g))
+    sub, kept = restrict_edges(g, build_color_subgraphs(g, lists)[0])
+    return sub, {j: Fraction(1, len(set(lists[h]))) for j, h in enumerate(kept)}
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        (lambda: (star_multigraph(6), Fraction(1, 8)),
+         "ffafac1cfeb716abe3bf883606fd53682a02b06de317c88ae526a9656d2567c9"),
+        (lambda: (gs_instance(1), Fraction(7, 8) / chi_star(gs_instance(1)).value),
+         "b167ddcf6a003036aaaca852f6e57add6b6ab6bfb72c0ae5d9fe93146360bb0a"),
+        (lambda: (cubic_graph(1, 12), Fraction(39, 40) / chi_star(cubic_graph(1, 12)).value),
+         "153534b36fa4b63ada844b1c5ad74428d3afe4e57c6f91f4d572465310629a0e"),
+        (_list_color_fit, "f1ef02361eb00308d5e5085aa0feda6e850ed545326c3a423a60b23c131bcf42"),
+    ],
+    ids=["star", "gs1", "cubic12", "list0-color0"],
+)
+def test_exact_fits_are_pinned(case, digest):
+    # The exact fit's activities, marginals and iteration count, bit for
+    # bit: a change to the fitting loop must not move them by one ulp.
+    graph, target = case()
+    r = calibrate_activities(graph, target)
+    text = repr((r.activities, r.achieved, r.iterations))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
