@@ -25,11 +25,12 @@ the calibration's, and shares it across its attempts, initial draws and
 repairs.  Every draw goes through ``hardcore.draw_matching``, which walks
 that DAG from the free region's node, so no subgraph or submodel is built
 per repair (only the chain sampler, where the DAG would pass the model's
-node budget, runs on an induced submodel).  ``repair_radius`` plans t for
-both this pipeline and the list pipeline.  Exact action kernels and the
-product measure over matching tuples are exposed for small instances so
-search convergence certificates (charges, commutation, lopsidependency) can
-be evaluated against the same code paths.
+node budget, runs on an induced submodel, built once per model and
+region).  ``repair_radius`` plans t for both this pipeline and the list
+pipeline.  Exact action kernels and the product measure over matching
+tuples are exposed for small instances so search convergence certificates
+(charges, commutation, lopsidependency) can be evaluated against the same
+code paths.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -69,8 +69,9 @@ from .graphs import Multigraph, distances_from, induced_subgraph, matched_vertic
 from .rng import stream
 
 # Budgets of the exact path under sampler="auto" (see the module docstring).
-# On a 2-core x86-64 host under CPython 3.11, a compile costs about 6 us
-# per node, a covariance sweep about 1 us and 70 bytes per node x slot, and
+# On a 2-core x86-64 host under CPython 3.11, a compile costs about 3.7 us
+# per node (348,335 nodes of 40 random cubic graphs on 34 vertices in 1.3 s
+# of CPU), a covariance sweep about 1 us and 70 bytes per node x slot, and
 # a chain draw on 60 collapsed edges 5-10 ms.  20,000 nodes keep random
 # cubic graphs on 34 vertices (up to about 18,000 nodes) exact.
 AUTO_NODE_BUDGET = 20_000
@@ -127,6 +128,9 @@ class HardCoreModel:
         self.sampler = sampler
         self.chain_steps = chain_steps
         self._dag: _ZDag | None = None
+        # Per region the chain has drawn from: the host ids of the induced
+        # submodel's edges, and that submodel (``draw_matching``).
+        self._regions: dict[frozenset[int], tuple[tuple[int, ...], HardCoreModel]] = {}
 
     def dag(self) -> "_ZDag":
         """The compiled partition-function DAG, evaluated at these activities,
@@ -145,13 +149,6 @@ class HardCoreModel:
             for eid in mem:
                 out[eid] = bundle[s] * self.activities[eid] / self.lam[s]
         return dict(enumerate(out))
-
-
-def _logsumexp(values: list[float]) -> float:
-    hi = max(values)
-    if hi == -math.inf:
-        return -math.inf
-    return hi + math.log(sum(math.exp(v - hi) for v in values))
 
 
 class _ZDag:
@@ -173,13 +170,18 @@ class _ZDag:
     say) are added on demand.
 
     The pivot is a minimum-degree vertex of the component, the lowest-
-    numbered on ties.  The search that finds a new mask's components also
-    counts, bit-sliced, how many of each vertex's neighbours it has met, so
-    each component arrives with its degree-one and degree-two vertices and
-    most pivots cost no scan.  Removing a degree-one pivot leaves its
-    component connected with one neighbour's degree lowered, so that child
-    is compiled as a component at once, with its classes updated, and skips
-    the search.
+    numbered on ties, so each component carries its degree-one and
+    degree-two vertices (its classes) and most pivots cost no scan.  A mask
+    entering through ``node`` (the root, a region) gets them from
+    ``_compile``'s search over the whole mask, which counts, bit-sliced, how
+    many of each vertex's neighbours it has met.  A child mask (a component
+    less its pivot p, or less p and a neighbour u) gets them from
+    ``_child``: the parent's classes cut to the child, with only the touched
+    vertices (those adjacent to p or u) recounted.  Every component of the
+    child holds a touched vertex, so one touched vertex means a connected
+    child, and otherwise balls grown from the touched vertices alone find
+    the components.  Either way components are compiled in order of their
+    lowest vertex, so nodes are created in the same order.
     """
 
     def __init__(self, n: int, pairs: Sequence[tuple[int, int]], lam: Sequence[float], budget: int):
@@ -195,6 +197,8 @@ class _ZDag:
             lst.sort()
             self.nbr[bit] = tuple(lst)
             self.nbr_mask[bit] = sum(u for u, _ in lst)
+        # The bundle slot of each edge, keyed by the mask of its endpoints.
+        self.slot_of: dict[int, int] = {(1 << u) | (1 << v): s for s, (u, v) in enumerate(pairs)}
         self.full = (1 << n) - 1
         # Per-slot log activity; slot -1 (the pivot left unmatched) reads the
         # trailing 0.0.
@@ -271,6 +275,11 @@ class _ZDag:
             if comp & (comp - 1):
                 got = index.get(comp)
                 kids.append(self._component(comp, comp & ~t2, comp & t2 & ~t3) if got is None else got)
+        return self._split(mask, kids)
+
+    def _split(self, mask: int, kids: list[int]) -> int:
+        """Memoize a mask that is not connected at the sum of its components'
+        nodes ``kids``: a split node when more than one has an edge."""
         if len(kids) > 1:
             total = 0.0
             for k in kids:
@@ -278,7 +287,7 @@ class _ZDag:
             node = self._add(True, tuple(kids), (), total)
         else:
             node = kids[0] if kids else 0
-        index[mask] = node
+        self.index[mask] = node
         return node
 
     def _pivot(self, comp: int) -> int:
@@ -302,64 +311,167 @@ class _ZDag:
     def _component(self, comp: int, ones: int, twos: int) -> int:
         """Compile the node of a connected mask of two or more vertices that
         has none yet, given its vertices of degree one and of degree two."""
-        index, val, w = self.index, self.val, self.weight
+        index, val, w, nbr_mask = self.index, self.val, self.weight, self.nbr_mask
         # Pivot on a minimum-degree vertex, the lowest-numbered on ties:
         # linear on trees, and it keeps the reachable state family small on
         # sparse graphs.
         if ones:
+            # A leaf p has two terms: p unmatched, and p matched to its one
+            # neighbour u.
             p = ones & -ones
-        elif twos:
-            p = twos & -twos
-        else:
-            p = self._pivot(comp)
-        rest = comp ^ p
-        k = index.get(rest)
-        if k is None:
-            if rest & (rest - 1) == 0:
-                k = 0
-            elif ones:
-                # Removing a leaf keeps ``rest`` connected and lowers only
-                # its neighbour u's degree.  u has degree two or more here,
-                # since the component has three or more vertices.
-                u = self.nbr_mask[p] & comp
-                ones ^= p
-                if u & twos:
-                    ones |= u
-                    twos ^= u
-                elif (self.nbr_mask[u] & rest).bit_count() == 2:
-                    twos |= u
-                k = self._component(rest, ones, twos)
-            else:
-                k = self._compile(rest)
-        kids = [k]
-        slots = [-1]
-        terms = [val[k]]
-        for u, s in self.nbr[p]:
-            if comp & u:
-                left = rest ^ u
-                k = index.get(left)
-                if k is None:
-                    k = 0 if left & (left - 1) == 0 else self._compile(left)
-                kids.append(k)
-                slots.append(s)
-                terms.append(w[s] + val[k])
-        if len(terms) == 2:
-            # _logsumexp inlined, as ``evaluate`` computes two terms.
-            a, b = terms
+            u = nbr_mask[p] & comp
+            rest = comp ^ p
+            k = index.get(rest)
+            if k is None:
+                if rest & (rest - 1) == 0:
+                    k = 0
+                else:
+                    # u is the one touched vertex, so ``rest`` is connected
+                    # and only u is recounted: ``_child`` without a search.
+                    deg = (nbr_mask[u] & rest).bit_count()
+                    rest_ones = (ones ^ p) & ~u
+                    rest_twos = twos & ~u
+                    if deg == 1:
+                        rest_ones |= u
+                    elif deg == 2:
+                        rest_twos |= u
+                    k = self._component(rest, rest_ones, rest_twos)
+            left = rest ^ u
+            k2 = index.get(left)
+            if k2 is None:
+                k2 = 0 if left & (left - 1) == 0 else self._child(left, ones, twos, nbr_mask[u] & left)
+            s = self.slot_of[p | u]
+            kids: tuple[int, ...] = (k, k2)
+            slots: tuple[int, ...] = (-1, s)
+            # Log-sum-exp of the two terms, as ``evaluate`` computes it.
+            a = val[k]
+            b = w[s] + val[k2]
             hi = b if b > a else a
             value = hi + math.log(math.exp(a - hi) + math.exp(b - hi))
         else:
-            value = _logsumexp(terms)
+            p = twos & -twos if twos else self._pivot(comp)
+            rest = comp ^ p
+            near = nbr_mask[p] & rest
+            k = index.get(rest)
+            if k is None:
+                k = self._child(rest, ones, twos, near)
+            kid_list = [k]
+            slot_list = [-1]
+            terms = [val[k]]
+            for u, s in self.nbr[p]:
+                if near & u:
+                    left = rest ^ u
+                    k = index.get(left)
+                    if k is None:
+                        if left & (left - 1):
+                            k = self._child(left, ones, twos, (near | nbr_mask[u]) & left)
+                        else:
+                            k = 0
+                    kid_list.append(k)
+                    slot_list.append(s)
+                    terms.append(w[s] + val[k])
+            kids, slots = tuple(kid_list), tuple(slot_list)
+            # Log-sum-exp; the unmatched term is a log Z >= 0, so the
+            # maximum is finite.
+            hi = max(terms)
+            value = hi + math.log(sum([math.exp(t - hi) for t in terms]))
         # ``_add`` inlined, budget check first.
         node = len(val)
         if node >= self.budget:
             raise CapacityError(f"compiling would take the DAG past {self.budget} nodes")
         self.split.append(False)
-        self.kids.append(tuple(kids))
-        self.slots.append(tuple(slots))
+        self.kids.append(kids)
+        self.slots.append(slots)
         val.append(value)
         index[comp] = node
         return node
+
+    def _child(self, child: int, ones: int, twos: int, touched: int) -> int:
+        """Compile the node of ``child``, a mask of two or more vertices that
+        has none yet, left by removing vertices from a component whose degree-
+        one and degree-two vertices are ``ones`` and ``twos``; ``touched``
+        holds the child's vertices adjacent to a removed one.  The nodes and
+        index entries are ``_compile(child)``'s, made in the same order."""
+        nbr_mask = self.nbr_mask
+        keep = child & ~touched
+        ones &= keep
+        twos &= keep
+        # Touched vertices left isolated: singleton components.
+        lone = 0
+        bits = touched
+        while bits:
+            low = bits & -bits
+            deg = (nbr_mask[low] & child).bit_count()
+            if deg == 1:
+                ones |= low
+            elif deg == 2:
+                twos |= low
+            elif not deg:
+                lone |= low
+            bits ^= low
+        rest = child ^ lone
+        seeds = touched ^ lone
+        # Components with an edge, each holding at least one of ``seeds``.
+        pieces = []
+        while seeds & (seeds - 1):
+            a = seeds & -seeds
+            b = seeds ^ a
+            if b & (b - 1) == 0:
+                # Two seeds: grow both balls, the smaller frontier first,
+                # until they touch (one component) or one runs out (it is a
+                # component, and the other seed's the rest).
+                ball_a = front_a = a
+                ball_b = front_b = b
+                while True:
+                    if front_a.bit_count() > front_b.bit_count():
+                        ball_a, front_a, ball_b, front_b = ball_b, front_b, ball_a, front_a
+                    spread = 0
+                    bits = front_a
+                    while bits:
+                        low = bits & -bits
+                        spread |= nbr_mask[low]
+                        bits ^= low
+                    if spread & ball_b:
+                        break
+                    front_a = spread & rest & ~ball_a
+                    if not front_a:
+                        pieces.append(ball_a)
+                        rest ^= ball_a
+                        break
+                    ball_a |= front_a
+                break
+            # Three or more seeds: grow the lowest one's ball until it holds
+            # them all (one component) or runs out (a component).
+            ball = front = a
+            while seeds & ~ball:
+                spread = 0
+                bits = front
+                while bits:
+                    low = bits & -bits
+                    spread |= nbr_mask[low]
+                    bits ^= low
+                front = spread & rest & ~ball
+                if not front:
+                    break
+                ball |= front
+            else:
+                break
+            pieces.append(ball)
+            rest ^= ball
+            seeds &= ~ball
+        if rest:
+            if not pieces and not lone:
+                return self._component(child, ones, twos)
+            pieces.append(rest)
+        # Compiled in order of their lowest vertex, as ``_compile`` does.
+        if len(pieces) > 1:
+            pieces.sort(key=lambda c: c & -c)
+        index = self.index
+        kids = []
+        for comp in pieces:
+            got = index.get(comp)
+            kids.append(self._component(comp, ones & comp, twos & comp) if got is None else got)
+        return self._split(child, kids)
 
     def evaluate(self, lam: Sequence[float]) -> None:
         """Forward sweep: re-evaluate every compiled node at bundle activities ``lam``."""
@@ -378,8 +490,8 @@ class _ZDag:
                     total += val[k]
                 val[i] = total
             else:
-                # _logsumexp inlined; the unmatched term is a log Z >= 0, so
-                # the maximum is finite.
+                # Log-sum-exp; the unmatched term is a log Z >= 0, so the
+                # maximum is finite.
                 ks, ss = kids[i], slots[i]
                 if len(ks) == 2:
                     # Most nodes (a degree-one pivot): max and sum of two
@@ -686,7 +798,7 @@ def sample_matching(
 def sample_matching_recursive(
     model: HardCoreModel,
     rng: np.random.Generator,
-    region: Iterable[int] | None = None,
+    region: Collection[int] | None = None,
 ) -> frozenset[int]:
     """Exact draw by walking the model's compiled partition-function DAG.
 
@@ -696,10 +808,22 @@ def sample_matching_recursive(
     yet compiled are added on demand.  The region's node orders pivots,
     components, neighbours and bundle members as the induced submodel's root
     would, so the draw equals that submodel's under the same stream.  Chosen
-    pairs are thinned to host edges in proportion to their activities.
+    pairs are thinned to host edges in proportion to their activities.  A
+    region vertex outside the graph raises ValueError before any random
+    number is taken.
     """
     dag = model.dag()
-    root = dag.node(dag.full if region is None else dag.mask_of(region))
+    if region is None:
+        mask = dag.full
+    else:
+        try:
+            mask = dag.mask_of(region)
+        except ValueError:  # a negative shift: a negative vertex
+            mask = -1
+        if mask & ~dag.full:
+            bad = next(v for v in region if not 0 <= v < model.graph.n)
+            raise ValueError(f"vertex {bad} out of range")
+    root = dag.node(mask)
     slots = dag.sample(root, rng)
     return frozenset(_lift_bundle(model, s, rng) for s in slots)
 
@@ -718,8 +842,9 @@ def draw_matching(
     The exact path walks the model's DAG from the region's node
     (``sample_matching_recursive``).  When compiling that node would pass the
     model's node budget, the chain runs ``model.chain_steps`` steps on the
-    model itself, or on a submodel induced on the region.  A failed walk
-    takes no random number, because it starts only once its root is compiled.
+    model itself, or on the submodel induced on the region, built once per
+    model and region.  A failed walk takes no random number, because it
+    starts only once its root is compiled.
     """
     try:
         return sample_matching_recursive(model, rng, region)
@@ -727,9 +852,14 @@ def draw_matching(
         chain = ChainConfig(steps=model.chain_steps)
     if region is None:
         return sample_matching(model, chain, rng=rng)
-    sub = induced_subgraph(model.graph, region)
-    submodel = HardCoreModel(sub.graph, [model.activities[h] for h in sub.edge_ids])
-    return frozenset(sub.edge_ids[j] for j in sample_matching(submodel, chain, rng=rng))
+    key = frozenset(region)
+    got = model._regions.get(key)
+    if got is None:
+        sub = induced_subgraph(model.graph, key)
+        submodel = HardCoreModel(sub.graph, [model.activities[h] for h in sub.edge_ids])
+        got = model._regions[key] = (sub.edge_ids, submodel)
+    edge_ids, submodel = got
+    return frozenset(edge_ids[j] for j in sample_matching(submodel, chain, rng=rng))
 
 
 def sampler_marginals(

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from matchcolor import FractionalIndex, Multigraph, chi_star, find_violated_matching_constraint
 from matchcolor.errors import CapacityError
-from matchcolor.hardcore import _lift_bundle, _logsumexp
+from matchcolor.hardcore import _lift_bundle
 
 # ---------------------------------------------------------------------------
 # Named graphs
@@ -317,6 +317,12 @@ class ReferenceDag:
         got = self._add(False, tuple(kids), tuple(slots), _logsumexp(terms))
         self.index[comp] = got
         return got
+
+
+def _logsumexp(values):
+    """log(sum(exp(values))), computed as the compile computes it."""
+    hi = max(values)
+    return hi + math.log(sum(math.exp(v - hi) for v in values))
 
 
 def reference_dag(n: int, pairs, lam, budget: int) -> ReferenceDag:

@@ -248,6 +248,17 @@ def dag_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(dag_cases())
+# Each branch of the child compile (``_ZDag._child``): a touched vertex left
+# isolated (the star's leaves once its centre is matched) ...
+@example((Multigraph(4, [(0, 2), (1, 2), (2, 3)]), [1.0, 2.0, 3.0], [], []))
+# ... a child in three or more pieces ...
+@example((Multigraph(8, [(0, 5), (1, 5), (1, 7), (2, 6), (3, 4), (3, 5), (5, 6)]),
+          [0.5, 2.0, 1.0, 3.0, 0.2, 7.0, 1.5], [], []))
+# ... pieces whose lowest vertex is not the first touched vertex's ...
+@example((Multigraph(6, [(0, 4), (1, 3), (2, 4), (2, 5), (3, 4)]), [1.0, 0.5, 2.0, 4.0, 0.25], [], []))
+# ... and a connected child with three touched vertices (K4 less a vertex).
+@example((Multigraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+          [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [], []))
 def test_dag_matches_reference_compile(case):
     # The compile builds the reference recursion's DAG node for node, with
     # bit-identical values, whether region masks come before or after the
@@ -259,6 +270,36 @@ def test_dag_matches_reference_compile(case):
     for mask in [*before, dag.full, *after]:
         assert dag.node(mask) == ref.node(mask)
     _assert_same_dag(dag, ref)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dag_matches_reference_compile_on_34_vertices(seed):
+    # Past the sizes the Hypothesis cases reach: DAGs of 7,000-10,000 nodes.
+    g = cubic_graph(seed, 34)
+    model = HardCoreModel(g, random_activities(g, seed))
+    dag = model.dag()
+    ref = reference_dag(g.n, model.pairs, model.lam, sys.maxsize)
+    assert dag.node(dag.full) == ref.node(dag.full)
+    _assert_same_dag(dag, ref)
+
+
+def test_child_masks_skip_the_full_component_search(monkeypatch):
+    # Only masks entering through ``node`` (here the root) run ``_compile``'s
+    # search over the whole mask; every child mask is compiled from its
+    # parent's degree classes.
+    calls = []
+    search = hardcore._ZDag._compile
+
+    def counting_search(self, mask):
+        calls.append(mask)
+        return search(self, mask)
+
+    monkeypatch.setattr(hardcore._ZDag, "_compile", counting_search)
+    g = cubic_graph(1, 34)
+    dag = HardCoreModel(g, [1.0] * g.m).dag()
+    dag.node(dag.full)
+    assert len(dag.val) == 10_272
+    assert calls == [dag.full]
 
 
 @settings(max_examples=40, deadline=None)
@@ -499,6 +540,57 @@ def test_the_node_budget_is_the_models_on_every_call(monkeypatch):
     assert chain_models == [g.m, 4] + [g.m] * 5
     with pytest.raises(CapacityError):
         chain_model.dag()
+
+
+@pytest.mark.parametrize("region, bad", [({0, 99}, 99), ({-1, 0, 1}, -1)])
+@pytest.mark.parametrize(
+    "sampler, draw",
+    [
+        ("exact", lambda model, rng, region: sample_matching_recursive(model, rng, region)),
+        ("exact", draw_matching),
+        ("chain", draw_matching),
+    ],
+    ids=["exact-walk", "exact-draw", "chain-draw"],
+)
+def test_region_outside_the_graph_fails_typed(sampler, draw, region, bad):
+    # A region vertex outside the graph raises ValueError naming it, on the
+    # exact path and on the chain's, before any random number is taken.
+    g = cycle_graph(3)
+    model = HardCoreModel(g, [1.0] * g.m, sampler=sampler, chain_steps=60)
+    rng = stream(0, "bad region")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+        draw(model, rng, region)
+    assert rng.bit_generator.state == state
+
+
+def test_chain_region_submodels_are_built_once(monkeypatch):
+    # The chain fallback builds a region's induced submodel on its first
+    # draw only, and its draws equal those of a submodel built per call.
+    built = []
+    induce = hardcore.induced_subgraph
+
+    def counting_induce(graph, vertices):
+        built.append(frozenset(vertices))
+        return induce(graph, vertices)
+
+    monkeypatch.setattr(hardcore, "induced_subgraph", counting_induce)
+    g = cycle_graph(8)
+    acts = random_activities(g, 8)
+    model = HardCoreModel(g, acts, sampler="chain", chain_steps=60)
+    region = frozenset(range(5))
+    got_rng, want_rng = stream(4, "region"), stream(4, "region")
+    sub = induce(g, region)
+    for _ in range(6):
+        want = sample_matching(
+            HardCoreModel(sub.graph, [acts[h] for h in sub.edge_ids]), ChainConfig(steps=60), rng=want_rng
+        )
+        got = draw_matching(model, got_rng, region)
+        assert got == frozenset(sub.edge_ids[j] for j in want)
+    assert got_rng.random() == want_rng.random()
+    assert built == [region]
+    draw_matching(model, got_rng, frozenset(range(1, 6)))
+    assert built == [region, frozenset(range(1, 6))]
 
 
 @given(st.integers(min_value=0, max_value=500))
