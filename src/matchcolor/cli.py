@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .colorer import GsConfig, color_multigraph
@@ -173,10 +172,9 @@ def _cmd_list_color(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     graph = _read_graph(args.graph)
-    target = Fraction(args.target)
     result = calibrate_activities(
         graph,
-        target,
+        args.target,
         tol=args.tol,
         max_iters=args.max_iters,
         chain=ChainConfig(steps=args.chain_steps),

@@ -166,12 +166,10 @@ def plan_round(
     cfg: GsConfig,
     round_index: int = 0,
     rng: np.random.Generator | None = None,
-    warm: Mapping[int, float] | None = None,
 ) -> RoundParams | None:
     """Measure chi*, pick N, c*, the flaw radius, and calibrate activities.
 
     Returns None when chi* < chi0: the caller should finish greedily.
-    ``warm`` seeds the calibration with activities from an earlier round.
     """
     if graph.m == 0:
         return None
@@ -198,7 +196,6 @@ def plan_round(
         chain=ChainConfig(steps=cfg.chain_steps),
         sampler=cfg.sampler,
         rng=rng,
-        initial=warm,
     )
     cap_frac = Fraction(graph.max_degree()) / (delta * n_match)
     cap = cap_frac.numerator // cap_frac.denominator
@@ -420,10 +417,9 @@ def color_multigraph(graph: Multigraph, cfg: GsConfig | None = None) -> tuple[di
     current = graph
     cur_to_orig = list(range(graph.m))
     round_index = 0
-    warm: dict[int, float] | None = None
     prev: RoundParams | None = None
     while current.m:
-        params = plan_round(current, cfg, round_index, warm=warm)
+        params = plan_round(current, cfg, round_index)
         # Planning measured chi* of this graph; asking again is a lookup.
         level = params.chi_star if params is not None else chi_star(current).value
         if prev is None:
@@ -448,7 +444,6 @@ def color_multigraph(graph: Multigraph, cfg: GsConfig | None = None) -> tuple[di
             union |= matching
         survivors = [eid for eid in range(current.m) if eid not in union]
         current, _ = restrict_edges(current, survivors)
-        warm = {new: params.model.activities[old] for new, old in enumerate(survivors)}
         cur_to_orig = [cur_to_orig[eid] for eid in survivors]
         rounds.append(
             {

@@ -23,13 +23,14 @@ induced there.
 
 Calibration is damped Newton on the convex max-entropy dual
 log Z - sum_e t_e log lambda_e, over one activity per class of parallel
-edges with a common target and start, on either path.  The exact path
-compiles its starting model once, takes the Hessian from those sweeps and
-a line search on log Z, and needs a handful of iterations even near
-criticality; a target on or outside the matching polytope's boundary ends
-it early with CalibrationError.  It returns the model at the fitted
-activities, holding that DAG, so a pipeline draws from the model it
-calibrated without a second compile.  The chain path takes the gradient
+edges with a common target and start, on either path.  Both start at the
+activities the tree-exact (Bethe) relation gives for the targets, so a fit
+on a forest ends at its start.  The exact path compiles its starting model
+once, takes the Hessian from those sweeps and a line search on log Z, and
+needs a handful of iterations even near criticality; a target on or outside
+the matching polytope's boundary ends it early with CalibrationError.  It
+returns the model at the fitted activities, holding that DAG, so a pipeline
+draws from the model it calibrated without a second compile.  The chain path takes the gradient
 and Hessian from each pass's chain draws, the classes' edge counts, and
 stops by default within three standard errors of its sampling noise.
 
@@ -923,7 +924,10 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, Rational):
         return Fraction(x)
     # Decimal reading of a float literal: 0.025 means 1/40, not its binary blob.
-    return Fraction(str(x))
+    try:
+        return Fraction(str(x))
+    except ZeroDivisionError:
+        raise ValueError(f"target {x!r} has a zero denominator") from None
 
 
 # A fit's best activities, their marginals, its max error, its iteration
@@ -1145,8 +1149,17 @@ def calibrate_activities(
     and, under "auto", its nodes times bundle slots fit ``AUTO_SWEEP_BUDGET``
     (the tangent sweep keeps a slot-wide vector per node); otherwise from
     chain estimates.  The fitted model carries ``sampler`` and ``chain``'s
-    step count.  ``initial`` warm-starts the activities (useful when
-    recalibrating after small edits).
+    step count.
+
+    Both paths start at the Bethe activities t_e (1 - t_s) / ((1 - T_u)(1 - T_v))
+    for e = uv, where t_s is the summed target of e's bundle and T_u that
+    of u's edges: the tree-exact relation between activities and marginals
+    (Yedidia, Freeman & Weiss, IEEE Trans. Inf. Theory 2005).  On a forest
+    the fit ends at its first point; on sparse graphs the start lands
+    close.  Where some vertex load T_u is 1 or more, every edge starts at
+    t_e / (1 - t_e), and a target on or outside the polytope still ends in
+    CalibrationError.  ``initial`` overrides the start of the edges it
+    names (useful when recalibrating after small edits).
 
     Both paths run damped Newton on the convex max-entropy dual
     log Z - sum_e t_e log lambda_e (``_newton_fit``) over classes: parallel
@@ -1200,6 +1213,16 @@ def calibrate_activities(
             )
 
     lam = {eid: tf[eid] / (1.0 - tf[eid]) for eid in range(graph.m)}
+    # The Bethe start needs every vertex load T_v, the summed target of v's
+    # edges, below 1.
+    load = [sum(map(tf.__getitem__, ids)) for ids in graph.incidence]
+    if max(load) < 1.0:
+        pairs = [(min(uv), max(uv)) for uv in graph.endpoints]
+        bundle = dict.fromkeys(pairs, 0.0)
+        for eid, pair in enumerate(pairs):
+            bundle[pair] += tf[eid]
+        for eid, (u, v) in enumerate(pairs):
+            lam[eid] = tf[eid] * (1.0 - bundle[u, v]) / ((1.0 - load[u]) * (1.0 - load[v]))
     if initial is not None:
         for eid, val in initial.items():
             if eid in lam and math.isfinite(val) and val > 0.0:

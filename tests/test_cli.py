@@ -202,6 +202,13 @@ def test_calibrate_bad_target(tmp_path, capsys):
     assert code == 2
 
 
+def test_calibrate_zero_denominator_exits_two(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(3))
+    code, _, err = run(capsys, ["calibrate", path, "--target", "1/0"])
+    assert code == 2
+    assert err.startswith("error:") and "zero denominator" in err
+
+
 # ---------------------------------------------------------------------------
 # sample
 

@@ -928,6 +928,35 @@ def test_calibration_warm_start_is_immediate():
     assert warm.iterations <= 2
 
 
+@pytest.mark.parametrize(
+    "graph, target",
+    [
+        (star_multigraph(6), Fraction(1, 8)),
+        (path_graph(5), Fraction(1, 3)),
+        # A tree of bundles of 3, 1, 2, 4 and 1 edges, with targets that
+        # differ within a bundle.
+        (Multigraph(6, [(0, 1)] * 3 + [(1, 2)] + [(3, 1)] * 2 + [(3, 4)] * 4 + [(5, 3)]),
+         {0: Fraction(1, 10), 1: Fraction(1, 20), 2: Fraction(1, 10), 3: Fraction(1, 5),
+          4: Fraction(1, 12), 5: Fraction(1, 6), 6: Fraction(1, 16), 7: Fraction(1, 8),
+          8: Fraction(1, 16), 9: Fraction(1, 10), 10: Fraction(1, 4)}),
+    ],
+    ids=["star", "path5", "bundled-tree"],
+)
+def test_forest_fits_converge_at_their_start(graph, target):
+    # On a forest the tree-exact (Bethe) start t_e (1 - t_s) / ((1 - T_u)(1 - T_v))
+    # has exactly the target marginals, so the fit ends at its first point.
+    r = calibrate_activities(graph, target)
+    assert r.iterations == 1
+    assert r.max_error <= 1e-12
+
+
+def test_calibration_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        calibrate_activities(path_graph(2), "1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        calibrate_activities(path_graph(2), {0: "1/4", 1: "1/0"})
+
+
 def test_calibration_rejects_bad_targets():
     g = path_graph(2)
     with pytest.raises(ValueError):
@@ -1017,7 +1046,8 @@ def test_chain_calibration_reports_class_means():
             sampler="chain", rng=stream(5, "classes"),
         )
     r = err.value.best
-    est = estimate_marginals(HardCoreModel(g, [1 / 7] * g.m), chain, 200, rng=stream(5, "classes"))
+    # At max_iters=1 the fit's best point is its start.
+    est = estimate_marginals(HardCoreModel(g, r.activities), chain, 200, rng=stream(5, "classes"))
     model = HardCoreModel(g, r.activities)
     for mem in model.members:
         assert len({r.activities[e] for e in mem}) == 1
@@ -1051,12 +1081,12 @@ def _list_color_fit():
     "case, digest",
     [
         (lambda: (star_multigraph(6), Fraction(1, 8)),
-         "ffafac1cfeb716abe3bf883606fd53682a02b06de317c88ae526a9656d2567c9"),
+         "a54bedf24ae71118e496a17e30f13488a4b107a3b1fddb0913455cc11aeb301b"),
         (lambda: (gs_instance(1), Fraction(7, 8) / chi_star(gs_instance(1)).value),
-         "b167ddcf6a003036aaaca852f6e57add6b6ab6bfb72c0ae5d9fe93146360bb0a"),
+         "078748022d3f53d3c23d018c5a19d2bedb31a5c0084c2533e8e69797c92cc9d3"),
         (lambda: (cubic_graph(1, 12), Fraction(39, 40) / chi_star(cubic_graph(1, 12)).value),
-         "153534b36fa4b63ada844b1c5ad74428d3afe4e57c6f91f4d572465310629a0e"),
-        (_list_color_fit, "f1ef02361eb00308d5e5085aa0feda6e850ed545326c3a423a60b23c131bcf42"),
+         "6d513f87444c28a015f85726583bb8f85649ca5e20fadef3d052894768c08fc1"),
+        (_list_color_fit, "e2226e6b5465c6febadaa964bdf2332efb00f3a45eddb38659c82fcd31266e76"),
     ],
     ids=["star", "gs1", "cubic12", "list0-color0"],
 )
