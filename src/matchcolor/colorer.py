@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, GreedyBlockedError, LocalSearchError, RoundError
-from .fractional import chi_star, find_violated_matching_constraint
+from .fractional import chi_star, connected_odd_sets, find_violated_matching_constraint
 from .graphs import (
     Multigraph,
     distances_from,
@@ -101,6 +101,10 @@ class GsConfig:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.retries < 1:
             raise ValueError("retries must be at least 1")
+        if self.step_cap is not None and self.step_cap < 1:
+            raise ValueError("step_cap must be positive")
+        if self.chain_steps is not None and self.chain_steps < 0:
+            raise ValueError("chain_steps must be non-negative")
         if self.chi0_override is not None and self.chi0_override < 1:
             raise ValueError("chi0_override must be positive")
         if self.t_override is not None and self.t_override < 1:
@@ -531,28 +535,6 @@ def round_measure(
     return out
 
 
-def _connected_odd_sets(graph: Multigraph, cap: int) -> list[tuple[int, ...]]:
-    adj: list[set[int]] = [set() for _ in range(graph.n)]
-    for u, v in graph.endpoints:
-        adj[u].add(v)
-        adj[v].add(u)
-    out = []
-    for size in range(3, cap + 1, 2):
-        for combo in itertools.combinations(range(graph.n), size):
-            inside = set(combo)
-            seen = {combo[0]}
-            queue = [combo[0]]
-            while queue:
-                v = queue.pop()
-                for w in adj[v]:
-                    if w in inside and w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            if len(seen) == size:
-                out.append(combo)
-    return out
-
-
 def round_flaw_specs(graph: Multigraph, params: RoundParams) -> list[FlawSpec]:
     """The full static flaw family with exact kernels, for verification runs:
     one spec per vertex, then one per connected odd set within the cap."""
@@ -592,8 +574,6 @@ def round_flaw_specs(graph: Multigraph, params: RoundParams) -> list[FlawSpec]:
 
     for v in range(graph.n):
         specs.append(spec(f"vertex:{v}", vertex_detect(v), [v]))
-    odd_cap = min(params.vertex_cap, graph.n if graph.n % 2 else graph.n - 1)
-    if odd_cap >= 3:
-        for vs in _connected_odd_sets(graph, odd_cap):
-            specs.append(spec("oddset:" + "-".join(map(str, vs)), set_detect(vs), vs))
+    for vs in connected_odd_sets(graph, params.vertex_cap):
+        specs.append(spec("oddset:" + "-".join(map(str, vs)), set_detect(vs), vs))
     return specs

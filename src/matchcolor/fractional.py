@@ -21,10 +21,12 @@ Two searches find violating sets:
   when n is odd), is the lightest odd-sided fundamental cut of a Gomory-Hu
   cut tree, built by Gusfield's n max flows (``min_odd_cut``).  It serves
   ``chi_star``.
-* the capped enumeration (``find_violated_matching_constraint``), which
-  grows connected sets of at most a vertex cap from their minimum vertex
-  with sound upper-bound pruning.  It serves the gs flaw selector's local
-  small-set search.
+* the capped growth (``_violating_sets``), which grows connected sets of
+  at most a vertex cap from their minimum vertex with sound upper-bound
+  pruning.  It serves the gs flaw selector's local small-set search
+  (``find_violated_matching_constraint``) and, at level 1, where every
+  connected odd set violates, lists the static flaw family
+  (``connected_odd_sets``).
 
 Levels, chi* and certificate ratios are exact rationals (``Fraction``).  Each
 search writes its level as p/q once and works in integers, so it is exact at
@@ -36,6 +38,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .graphs import Multigraph
 
@@ -83,14 +86,14 @@ class _Skeleton:
         self.max_mult = max(mult.values(), default=0)
 
 
-def find_violated_matching_constraint(
+def _violating_sets(
     graph: Multigraph, c: Fraction, vertex_cap: int
-) -> OddSetCertificate | None:
-    """First (lexicographically by sorted vertex tuple) connected odd H with
-    |E(H)| > ((|H| - 1) / 2) * c and |H| <= vertex_cap, or None.
+) -> Iterator[list[tuple[tuple[int, ...], int]]]:
+    """Per root vertex in increasing order, the connected odd H whose least
+    vertex is the root with |E(H)| > ((|H| - 1) / 2) * c and |H| <= vertex_cap,
+    as (sorted vertex tuple, |E(H)|) pairs.
 
-    The enumeration grows connected sets from each root in increasing order and
-    prunes a branch only when no odd superset within the cap can violate:
+    A branch is pruned only when no odd superset within the cap can violate:
     for any H extending S inside the branch,
     2|E(H)| <= sum_deg(S) - leak(S) + (|H| - |S|) * Dmax, where leak counts
     multigraph edges from S to vertices permanently outside the branch.
@@ -101,12 +104,10 @@ def find_violated_matching_constraint(
         raise ValueError(f"constraint level must be >= 1, got {c}")
     if vertex_cap < 3 or vertex_cap % 2 == 0:
         raise ValueError(f"vertex_cap must be odd and >= 3, got {vertex_cap}")
-    if graph.n < 3 or graph.m == 0:
-        return None
-    sk = _Skeleton(graph)
     cap = min(vertex_cap, graph.n if graph.n % 2 else graph.n - 1)
-    if cap < 3:
-        return None
+    if cap < 3 or graph.m == 0:
+        return
+    sk = _Skeleton(graph)
     adj, deg = sk.adj, sk.deg
     p, q = c.numerator, c.denominator
     dmax = max(deg)
@@ -168,11 +169,29 @@ def find_violated_matching_constraint(
 
     for root in range(graph.n):
         grow([], [root], 0, 0, 0)
-        if violations:
-            verts, edges = min(violations)
-            return OddSetCertificate(verts, edges, Fraction(edges, (len(verts) - 1) // 2))
+        yield violations
+        violations = []
         state[root] = 2
+
+
+def find_violated_matching_constraint(
+    graph: Multigraph, c: Fraction, vertex_cap: int
+) -> OddSetCertificate | None:
+    """First (lexicographically by sorted vertex tuple) connected odd H with
+    |E(H)| > ((|H| - 1) / 2) * c and |H| <= vertex_cap, or None."""
+    for batch in _violating_sets(graph, c, vertex_cap):
+        if batch:
+            verts, edges = min(batch)
+            return OddSetCertificate(verts, edges, Fraction(edges, (len(verts) - 1) // 2))
     return None
+
+
+def connected_odd_sets(graph: Multigraph, cap: int) -> list[tuple[int, ...]]:
+    """Every connected odd vertex set of 3 to ``cap`` vertices, sorted, by
+    size and then lexicographically: the sets that violate at level 1, since
+    a connected H has |H| - 1 > (|H| - 1) / 2 edges or more."""
+    sets = [verts for batch in _violating_sets(graph, Fraction(1), cap) for verts, _ in batch]
+    return sorted(sets, key=lambda verts: (len(verts), verts))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ induced there.
 
 Calibration is damped Newton on the convex max-entropy dual
 log Z - sum_e t_e log lambda_e, over one activity per class of parallel
-edges with a common target and start, on either path.  Both start at the
+edges with a common target, on either path.  Both start at the
 activities the tree-exact (Bethe) relation gives for the targets, so a fit
 on a forest ends at its start.  The exact path compiles its starting model
 once, takes the Hessian from those sweeps and a line search on log Z, and
@@ -101,6 +101,8 @@ class HardCoreModel:
     ):
         if sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {sampler!r}")
+        if chain_steps is not None and chain_steps < 0:
+            raise ValueError("chain_steps must be non-negative")
         if isinstance(activities, Mapping):
             if set(activities) != set(range(graph.m)):
                 raise ValueError("activities must cover exactly the edge ids of the graph")
@@ -172,17 +174,16 @@ class _ZDag:
 
     The pivot is a minimum-degree vertex of the component, the lowest-
     numbered on ties, so each component carries its degree-one and
-    degree-two vertices (its classes) and most pivots cost no scan.  A mask
-    entering through ``node`` (the root, a region) gets them from
-    ``_compile``'s search over the whole mask, which counts, bit-sliced, how
-    many of each vertex's neighbours it has met.  A child mask (a component
-    less its pivot p, or less p and a neighbour u) gets them from
-    ``_child``: the parent's classes cut to the child, with only the touched
-    vertices (those adjacent to p or u) recounted.  Every component of the
-    child holds a touched vertex, so one touched vertex means a connected
-    child, and otherwise balls grown from the touched vertices alone find
-    the components.  Either way components are compiled in order of their
-    lowest vertex, so nodes are created in the same order.
+    degree-two vertices (its classes) and most pivots cost no scan.  One
+    search, ``_compile``, finds the components of every new mask.  A child
+    mask (a component less its pivot p, or less p and a neighbour u) takes
+    the parent's classes and recounts only its touched vertices, those
+    adjacent to p or u; a mask entering through ``node`` (the root, a
+    region) counts all its vertices as touched.  Every component holds a
+    touched vertex, so one touched vertex means a connected mask, and
+    otherwise balls grown from the touched vertices alone find the
+    components.  They are compiled in order of their lowest vertex, as in
+    ``tests/support.reference_dag``, which pins the DAG node for node.
     """
 
     def __init__(self, n: int, pairs: Sequence[tuple[int, int]], lam: Sequence[float], budget: int):
@@ -232,7 +233,7 @@ class _ZDag:
             return got
         if mask & (mask - 1) == 0:
             return 0
-        return self._compile(mask)
+        return self._compile(mask, 0, 0, mask)
 
     def _add(self, split: bool, kids: tuple[int, ...], slots: tuple[int, ...], value: float) -> int:
         # The budget check comes first, so a stopped compile leaves a valid
@@ -244,51 +245,6 @@ class _ZDag:
         self.kids.append(kids)
         self.slots.append(slots)
         self.val.append(value)
-        return node
-
-    def _compile(self, mask: int) -> int:
-        """Compile the node of a mask of two or more vertices that has none
-        yet: its components' nodes, in order of their lowest vertex, summed by
-        a split node when more than one has an edge."""
-        nbr_mask, index = self.nbr_mask, self.index
-        kids = []
-        remaining = mask
-        while remaining:
-            comp = remaining & -remaining
-            new = comp
-            # t1, t2, t3: the vertices with at least 1, 2, 3 neighbours among
-            # those expanded so far (all in ``comp``).
-            t1 = t2 = t3 = 0
-            while new:
-                bits = new
-                while bits:
-                    low = bits & -bits
-                    nb = nbr_mask[low]
-                    t3 |= t2 & nb
-                    t2 |= t1 & nb
-                    t1 |= nb
-                    bits ^= low
-                new = t1 & remaining & ~comp
-                comp |= new
-            if comp == mask:
-                return self._component(mask, mask & ~t2, mask & t2 & ~t3)
-            remaining ^= comp
-            if comp & (comp - 1):
-                got = index.get(comp)
-                kids.append(self._component(comp, comp & ~t2, comp & t2 & ~t3) if got is None else got)
-        return self._split(mask, kids)
-
-    def _split(self, mask: int, kids: list[int]) -> int:
-        """Memoize a mask that is not connected at the sum of its components'
-        nodes ``kids``: a split node when more than one has an edge."""
-        if len(kids) > 1:
-            total = 0.0
-            for k in kids:
-                total += self.val[k]
-            node = self._add(True, tuple(kids), (), total)
-        else:
-            node = kids[0] if kids else 0
-        self.index[mask] = node
         return node
 
     def _pivot(self, comp: int) -> int:
@@ -328,7 +284,7 @@ class _ZDag:
                     k = 0
                 else:
                     # u is the one touched vertex, so ``rest`` is connected
-                    # and only u is recounted: ``_child`` without a search.
+                    # and only u is recounted: ``_compile`` without a search.
                     deg = (nbr_mask[u] & rest).bit_count()
                     rest_ones = (ones ^ p) & ~u
                     rest_twos = twos & ~u
@@ -340,7 +296,7 @@ class _ZDag:
             left = rest ^ u
             k2 = index.get(left)
             if k2 is None:
-                k2 = 0 if left & (left - 1) == 0 else self._child(left, ones, twos, nbr_mask[u] & left)
+                k2 = 0 if left & (left - 1) == 0 else self._compile(left, ones, twos, nbr_mask[u] & left)
             s = self.slot_of[p | u]
             kids: tuple[int, ...] = (k, k2)
             slots: tuple[int, ...] = (-1, s)
@@ -355,7 +311,7 @@ class _ZDag:
             near = nbr_mask[p] & rest
             k = index.get(rest)
             if k is None:
-                k = self._child(rest, ones, twos, near)
+                k = self._compile(rest, ones, twos, near)
             kid_list = [k]
             slot_list = [-1]
             terms = [val[k]]
@@ -365,7 +321,7 @@ class _ZDag:
                     k = index.get(left)
                     if k is None:
                         if left & (left - 1):
-                            k = self._child(left, ones, twos, (near | nbr_mask[u]) & left)
+                            k = self._compile(left, ones, twos, (near | nbr_mask[u]) & left)
                         else:
                             k = 0
                     kid_list.append(k)
@@ -387,12 +343,13 @@ class _ZDag:
         index[comp] = node
         return node
 
-    def _child(self, child: int, ones: int, twos: int, touched: int) -> int:
+    def _compile(self, child: int, ones: int, twos: int, touched: int) -> int:
         """Compile the node of ``child``, a mask of two or more vertices that
         has none yet, left by removing vertices from a component whose degree-
         one and degree-two vertices are ``ones`` and ``twos``; ``touched``
-        holds the child's vertices adjacent to a removed one.  The nodes and
-        index entries are ``_compile(child)``'s, made in the same order."""
+        holds the child's vertices adjacent to a removed one (all of a mask
+        entering through ``node``, with no classes).  Nodes and index entries
+        are ``tests/support.reference_dag``'s, made in the same order."""
         nbr_mask = self.nbr_mask
         keep = child & ~touched
         ones &= keep
@@ -464,7 +421,8 @@ class _ZDag:
             if not pieces and not lone:
                 return self._component(child, ones, twos)
             pieces.append(rest)
-        # Compiled in order of their lowest vertex, as ``_compile`` does.
+        # Compiled in order of their lowest vertex, as
+        # ``tests/support.reference_dag`` does; a split node sums several.
         if len(pieces) > 1:
             pieces.sort(key=lambda c: c & -c)
         index = self.index
@@ -472,7 +430,15 @@ class _ZDag:
         for comp in pieces:
             got = index.get(comp)
             kids.append(self._component(comp, ones & comp, twos & comp) if got is None else got)
-        return self._split(child, kids)
+        if len(kids) > 1:
+            total = 0.0
+            for k in kids:
+                total += self.val[k]
+            node = self._add(True, tuple(kids), (), total)
+        else:
+            node = kids[0] if kids else 0
+        index[child] = node
+        return node
 
     def evaluate(self, lam: Sequence[float]) -> None:
         """Forward sweep: re-evaluate every compiled node at bundle activities ``lam``."""
@@ -932,7 +898,7 @@ def _as_fraction(x) -> Fraction:
 
 # A fit's best activities, their marginals, its max error, its iteration
 # count, and why it stopped short (None when it converged).  A fit allowed
-# no iteration reports its start.
+# no iteration reports its start and the error measured there.
 _Fit = tuple[list[float], list[float], float, int, str | None]
 _CAP_REACHED = "the iteration cap was reached"
 _SINGULAR = (
@@ -1126,7 +1092,7 @@ def _newton_fit(
         else:
             return best_acts, best_ach, best_err, iterations, _NO_DESCENT
     if best_ach is None:
-        best_ach = measure(acts)[0]
+        best_ach, best_err = measure(acts)
     return best_acts, best_ach, best_err, iterations, _CAP_REACHED
 
 
@@ -1139,7 +1105,6 @@ def calibrate_activities(
     samples: int = 400,
     sampler: str = "auto",
     rng: np.random.Generator | None = None,
-    initial: Mapping[int, float] | None = None,
 ) -> CalibrationResult:
     """Fit activities to marginal targets.
 
@@ -1158,12 +1123,11 @@ def calibrate_activities(
     the fit ends at its first point; on sparse graphs the start lands
     close.  Where some vertex load T_u is 1 or more, every edge starts at
     t_e / (1 - t_e), and a target on or outside the polytope still ends in
-    CalibrationError.  ``initial`` overrides the start of the edges it
-    names (useful when recalibrating after small edits).
+    CalibrationError.
 
     Both paths run damped Newton on the convex max-entropy dual
     log Z - sum_e t_e log lambda_e (``_newton_fit``) over classes: parallel
-    edges with the same target and starting activity, whose marginals and
+    edges with the same target, which start alike and whose marginals and
     updates agree, share one activity.  The exact path measures the dual on
     the compiled DAG (``_ExactDual``) and takes a handful of iterations, even
     near criticality.  The chain path measures it from ``samples`` chain
@@ -1180,6 +1144,8 @@ def calibrate_activities(
     the exact path a target on or outside the matching polytope's boundary
     ends it early, once the dual's Hessian degenerates.
     """
+    if max_iters < 0:
+        raise ValueError("max_iters must be non-negative")
     chain = chain or ChainConfig()
     if graph.m == 0:
         empty = HardCoreModel(graph, [], sampler, chain.steps)
@@ -1223,10 +1189,6 @@ def calibrate_activities(
             bundle[pair] += tf[eid]
         for eid, (u, v) in enumerate(pairs):
             lam[eid] = tf[eid] * (1.0 - bundle[u, v]) / ((1.0 - load[u]) * (1.0 - load[v]))
-    if initial is not None:
-        for eid, val in initial.items():
-            if eid in lam and math.isfinite(val) and val > 0.0:
-                lam[eid] = float(val)
 
     start = HardCoreModel(graph, lam, sampler, chain.steps)
     # Compiled once; each exact iteration sweeps it (``_ExactDual``).
@@ -1244,23 +1206,20 @@ def calibrate_activities(
     if not exact and rng is None:
         rng = stream(0, "calibrate")
 
-    # ``cls`` maps each host edge to its activity class, ``rep`` each class
-    # to its first member and ``slot`` to its bundle.
+    # ``cls`` maps each host edge to its class, numbered in ``ids`` by
+    # (bundle, target) in order of first member, whose start ``acts`` holds.
     cls = [0] * graph.m
-    rep: list[int] = []
-    slot: list[int] = []
-    ids: dict[tuple[int, float, float], int] = {}
+    ids: dict[tuple[int, float], int] = {}
+    acts: list[float] = []
     for s, mem in enumerate(start.members):
         for eid in mem:
-            key = (s, tf[eid], lam[eid])
-            if key not in ids:
-                ids[key] = len(rep)
-                rep.append(eid)
-                slot.append(s)
-            cls[eid] = ids[key]
+            if (s, tf[eid]) not in ids:
+                ids[s, tf[eid]] = len(acts)
+                acts.append(lam[eid])
+            cls[eid] = ids[s, tf[eid]]
     counts = np.bincount(cls).tolist()
-    acts = [lam[eid] for eid in rep]
-    tc = [tf[eid] for eid in rep]
+    slot = [s for s, _ in ids]
+    tc = [t for _, t in ids]
     if exact:
         # Each bundle's member classes, in member order: bundle sums add up
         # the same floats in the same order as a per-edge sum.

@@ -109,6 +109,8 @@ class ListConfig:
             raise ValueError("t_override must be at least 1")
         if self.max_iterations < 1 or self.step_cap < 1:
             raise ValueError("max_iterations and step_cap must be positive")
+        if self.chain_steps is not None and self.chain_steps < 0:
+            raise ValueError("chain_steps must be non-negative")
         if not 0.0 <= self.mass_floor < 1.0:
             raise ValueError("mass_floor must lie in [0, 1)")
         if self.list_floor < 0:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from matchcolor import cli
 from matchcolor.cli import main
 from matchcolor.graphs import dump_multigraph, is_matching, load_multigraph, validate_coloring
 
@@ -126,6 +127,37 @@ def test_color_out_file_is_byte_deterministic(tmp_path, capsys):
     assert main(["color", path, "--seed", "7", "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _pipeline_must_not_run(*args, **kwargs):
+    raise AssertionError("the pipeline ran")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["color", "--step-cap", "0"],
+        ["color", "--step-cap", "-4"],
+        ["color", "--chain-steps", "-3"],
+        ["color", "--chain-steps", "-3", "--sampler", "chain"],
+        ["list-color", "--chain-steps", "-3"],
+    ],
+)
+def test_bad_search_settings_exit_two_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # A step cap below 1 or a negative chain step count is a usage error,
+    # caught when the config is built: chi*, calibration and the search
+    # never start.
+    monkeypatch.setattr(cli, "color_multigraph", _pipeline_must_not_run)
+    monkeypatch.setattr(cli, "list_edge_color", _pipeline_must_not_run)
+    g = cycle_graph(5)
+    path = write_graph(tmp_path, g)
+    files = [path]
+    if argv[0] == "list-color":
+        files.append(write_json(tmp_path, {str(e): [0, 1, 2] for e in range(g.m)}, "lists.json"))
+    code, out, err = run(capsys, [argv[0], *files, *argv[1:]])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

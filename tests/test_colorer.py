@@ -53,6 +53,9 @@ def test_config_defaults_and_chi0():
         {"retries": 0},
         {"chi0_override": 0},
         {"t_override": 0},
+        {"step_cap": 0},
+        {"step_cap": -4},
+        {"chain_steps": -3},
     ],
 )
 def test_config_validation(kwargs):

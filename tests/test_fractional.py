@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from matchcolor import Multigraph, chi_star, find_violated_matching_constraint
 from matchcolor import fractional
-from matchcolor.fractional import OddSetCertificate, min_odd_cut, separate_odd_set
+from matchcolor.fractional import (
+    OddSetCertificate,
+    connected_odd_sets,
+    min_odd_cut,
+    separate_odd_set,
+)
 from matchcolor.oracle import brute_force_chromatic_index, brute_force_gamma
 from support import (
     cubic_graph,
@@ -270,6 +275,24 @@ def test_oracle_matches_the_enumeration(graph):
     for _ in verts:
         reached |= {w for u, v in inside if u in reached or v in reached for w in (u, v)}
     assert reached == verts
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_multigraphs(max_n=11), st.sampled_from([3, 5, 7, 9, 11]))
+# Two triangles joined by a path, and an isolated vertex.
+@example(Multigraph(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)]), 7)
+def test_connected_odd_sets_match_networkx(graph, cap):
+    """``connected_odd_sets`` lists exactly the connected odd sets of 3 to
+    ``cap`` vertices, by size and then lexicographically."""
+    simple = nx.Graph(graph.endpoints)
+    simple.add_nodes_from(range(graph.n))
+    expect = [
+        combo
+        for size in range(3, cap + 1, 2)
+        for combo in combinations(range(graph.n), size)
+        if nx.is_connected(simple.subgraph(combo))
+    ]
+    assert connected_odd_sets(graph, cap) == expect
 
 
 def networkx_auxiliary(graph, c):

@@ -75,6 +75,11 @@ def test_rejects_unknown_sampler():
         HardCoreModel(path_graph(2), [1.0, 1.0], sampler="magic")
 
 
+def test_rejects_negative_chain_steps():
+    with pytest.raises(ValueError, match="chain_steps"):
+        HardCoreModel(path_graph(2), [1.0, 1.0], chain_steps=-3)
+
+
 def test_parallel_bundles_collapse():
     model = HardCoreModel(double_edge(), [2.0, 3.0])
     assert len(model.pairs) == 1
@@ -284,22 +289,24 @@ def test_dag_matches_reference_compile_on_34_vertices(seed):
 
 
 def test_child_masks_skip_the_full_component_search(monkeypatch):
-    # Only masks entering through ``node`` (here the root) run ``_compile``'s
-    # search over the whole mask; every child mask is compiled from its
-    # parent's degree classes.
-    calls = []
-    search = hardcore._ZDag._compile
+    # Only a mask entering through ``node`` (here the root) recounts all its
+    # vertices; every child mask is compiled from its parent's degree
+    # classes, recounting only the few vertices next to those removed.
+    touched_sets = []
+    compile_ = hardcore._ZDag._compile
 
-    def counting_search(self, mask):
-        calls.append(mask)
-        return search(self, mask)
+    def counting_compile(self, child, ones, twos, touched):
+        touched_sets.append(touched)
+        return compile_(self, child, ones, twos, touched)
 
-    monkeypatch.setattr(hardcore._ZDag, "_compile", counting_search)
+    monkeypatch.setattr(hardcore._ZDag, "_compile", counting_compile)
     g = cubic_graph(1, 34)
     dag = HardCoreModel(g, [1.0] * g.m).dag()
     dag.node(dag.full)
     assert len(dag.val) == 10_272
-    assert calls == [dag.full]
+    assert touched_sets[0] == dag.full
+    assert len(touched_sets) > 1
+    assert max(t.bit_count() for t in touched_sets[1:]) <= 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -805,32 +812,32 @@ def test_calibration_achieves_uniform_targets_on_sweep():
 @st.composite
 def calibration_cases(draw):
     """A small multigraph (see ``_small_multigraph``) with strictly feasible
-    per-edge targets 1/(2 * max endpoint degree), and a warm start that sets
-    some edges to one of a few values, so a bundle's members can start
-    apart and form several activity classes."""
+    per-edge targets: 1/(2 * max endpoint degree), scaled per edge by one of
+    a few factors, so a bundle's members can differ in target and form
+    several activity classes."""
     g = _small_multigraph(draw)
+    factors = st.sampled_from([1, Fraction(1, 2), Fraction(2, 3)])
+    scales = draw(st.lists(factors, min_size=g.m, max_size=g.m))
     targets = {
-        e: Fraction(1, 2 * max(g.degree(u), g.degree(v))) for e, (u, v) in enumerate(g.endpoints)
+        e: scales[e] / (2 * max(g.degree(u), g.degree(v))) for e, (u, v) in enumerate(g.endpoints)
     }
-    starts = draw(st.lists(st.sampled_from([None, 0.05, 0.3, 2.0]), min_size=g.m, max_size=g.m))
-    return g, targets, {e: x for e, x in enumerate(starts) if x is not None}
+    return g, targets
 
 
 @settings(max_examples=60, deadline=None)
 @given(calibration_cases())
 @example((Multigraph(5, [(0, 1)] * 3 + [(1, 2)] * 2 + [(2, 3), (3, 4), (4, 0)]),
-          {0: Fraction(1, 10), 1: Fraction(1, 10), 2: Fraction(1, 10), 3: Fraction(1, 10),
-           4: Fraction(1, 10), 5: Fraction(1, 6), 6: Fraction(1, 4), 7: Fraction(1, 8)},
-          {0: 0.3, 2: 2.0, 3: 0.05}))
+          {0: Fraction(1, 10), 1: Fraction(1, 20), 2: Fraction(1, 10), 3: Fraction(1, 15),
+           4: Fraction(1, 10), 5: Fraction(1, 6), 6: Fraction(1, 4), 7: Fraction(1, 8)}))
 def test_calibration_classes_converge_exactly(case):
-    # Members of a bundle with one target and one start form a class and
-    # must end bit-equal; the reported marginals are the model's own.
-    g, targets, initial = case
-    r = calibrate_activities(g, targets, initial=initial)
+    # Members of a bundle with one target form a class and must end
+    # bit-equal; the reported marginals are the model's own.
+    g, targets = case
+    r = calibrate_activities(g, targets)
     assert r.converged and r.max_error <= 1e-6
     classes: dict[tuple, float] = {}
     for e, (u, v) in enumerate(g.endpoints):
-        key = (min(u, v), max(u, v), targets[e], initial.get(e))
+        key = (min(u, v), max(u, v), targets[e])
         assert classes.setdefault(key, r.activities[e]) == r.activities[e]
     if g.m:
         exact = exact_marginals(HardCoreModel(g, r.activities))
@@ -921,11 +928,20 @@ def test_calibration_outside_the_polytope_fails_typed(case):
     assert all(math.isfinite(x) for x in r.achieved.values())
 
 
-def test_calibration_warm_start_is_immediate():
+def test_calibration_without_iterations_reports_its_start():
+    # Allowed no iteration, a fit stops at its start and reports the error
+    # measured there, not an infinite one.
     g = cycle_graph(3)
-    cold = calibrate_activities(g, Fraction(1, 4))
-    warm = calibrate_activities(g, Fraction(1, 4), initial=dict(cold.activities))
-    assert warm.iterations <= 2
+    with pytest.raises(CalibrationError) as err:
+        calibrate_activities(g, Fraction(1, 4), max_iters=0)
+    best = err.value.best
+    assert best.iterations == 0 and not best.converged
+    start = exact_marginals(HardCoreModel(g, best.activities))
+    assert math.isfinite(best.max_error)
+    assert best.max_error == max(abs(start[e] - 0.25) for e in range(g.m))
+    assert "inf" not in str(err.value)
+    with pytest.raises(ValueError, match="max_iters"):
+        calibrate_activities(g, Fraction(1, 4), max_iters=-1)
 
 
 @pytest.mark.parametrize(

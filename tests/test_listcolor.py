@@ -54,6 +54,7 @@ from support import (
         {"mass_floor": 1.0},
         {"mass_floor": -0.1},
         {"list_floor": -1},
+        {"chain_steps": -3},
     ],
 )
 def test_list_config_validation(kwargs):
